@@ -169,9 +169,15 @@ fn bench_scheduling(c: &mut Criterion) {
                 metrics: &metrics,
                 audit: &audit,
             };
-            let plan =
-                mlp_sched::placement::plan_request(&req, &policy, &mut cursor, &mut fit, &mut ctx)
-                    .expect("placeable");
+            let plan = mlp_sched::placement::plan_request(
+                &req,
+                &policy,
+                mlp_sched::placement::Scope::Cluster,
+                &mut cursor,
+                &mut fit,
+                &mut ctx,
+            )
+            .expect("placeable");
             mlp_sched::placement::unreserve_plan(&plan, &mut ctx);
         });
     });

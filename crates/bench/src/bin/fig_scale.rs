@@ -1,6 +1,5 @@
 //! Scale-trajectory sweep: v-MLP wall-clock as the fleet grows 8 → 4096
-//! machines (crossed with a worker-thread axis) with one shard per 16
-//! machines and the invariant auditor on.
+//! machines with one shard per 16 machines and the invariant auditor on.
 //! Prints the trajectory table and merges the data points into the
 //! repo-root `BENCH_sim.json` under the `fig_scale` key (preserving the
 //! `perf_baseline` snapshot). Exits non-zero if any point reports an

@@ -323,48 +323,6 @@ impl Cluster {
         &mut self.machines
     }
 
-    /// Splits the fleet into per-shard sets of mutable machine references:
-    /// entry `s` holds shard `s`'s members in ascending machine id — the
-    /// same order [`shard_machines`](Cluster::shard_machines) scans. The
-    /// sets are disjoint (the shard map is a strict partition), so each
-    /// can be handed to a different shard worker for a tick's placement,
-    /// pruning, or audit work without any aliasing.
-    pub fn machines_by_shard_mut(&mut self) -> Vec<Vec<&mut Machine>> {
-        let mut out: Vec<Vec<&mut Machine>> = Vec::with_capacity(self.shards.len());
-        out.resize_with(self.shards.len(), Vec::new);
-        let shards = &self.shards;
-        for m in self.machines.iter_mut() {
-            out[shards.shard_of(m.id).0 as usize].push(m);
-        }
-        out
-    }
-
-    /// Like [`machines_by_shard_mut`](Cluster::machines_by_shard_mut) but
-    /// restricted to the shards flagged in `wanted` (indexed by shard),
-    /// returned as `(shard_index, members)` pairs in ascending shard
-    /// order. An admission round typically queues work for a handful of
-    /// shards; collecting references for all `K` of them every round is
-    /// O(machines) of allocation the round never uses. Members keep the
-    /// same ascending-machine-id order as the unfiltered accessor.
-    pub fn machines_in_shards_mut(&mut self, wanted: &[bool]) -> Vec<(usize, Vec<&mut Machine>)> {
-        debug_assert_eq!(wanted.len(), self.shards.len());
-        let hits = wanted.iter().filter(|&&w| w).count();
-        let mut out: Vec<(usize, Vec<&mut Machine>)> = Vec::with_capacity(hits);
-        let shards = &self.shards;
-        for m in self.machines.iter_mut() {
-            let s = shards.shard_of(m.id).0 as usize;
-            if !wanted[s] {
-                continue;
-            }
-            match out.iter_mut().find(|(idx, _)| *idx == s) {
-                Some((_, members)) => members.push(m),
-                None => out.push((s, vec![m])),
-            }
-        }
-        out.sort_by_key(|(idx, _)| *idx);
-        out
-    }
-
     /// Cluster-wide utilization `U = Σ_nodes (u_cpu + u_mem + u_io) /
     /// (#resource_types · #nodes)` — the efficiency metric of Fig 11.
     pub fn utilization(&self) -> f64 {

@@ -14,8 +14,9 @@
 //! ([`ratio_order`]: ratio descending, then arrival, then id). The global
 //! maximum is therefore always among the queue fronts, and popping the best
 //! front repeatedly replays the sorted order pop by pop. Restricting a
-//! total order to a partition (the per-shard split of the parallel pass)
-//! preserves it, so shard-local merges replay each shard's subsequence too.
+//! total order to a partition (the per-shard walks of a phased admission
+//! round) preserves it, so a shard-restricted merge replays that shard's
+//! subsequence too.
 //!
 //! The one theoretical exception: the α-normalization `r / (1 + r)`
 //! compresses ratio gaps, and once `r` exceeds ~10⁷ (a request more than
@@ -53,121 +54,6 @@ struct TypeQueue {
     reqs: VecDeque<RequestInfo>,
 }
 
-/// Per-type queue terms snapshot handed to shard workers: `Clone` + `Send`,
-/// detached from the scheduler context.
-#[derive(Debug, Clone, Default)]
-pub struct TermsTable(Vec<(RequestTypeId, RatioTerms)>);
-
-impl TermsTable {
-    fn get(&self, rtype: RequestTypeId) -> &RatioTerms {
-        self.0
-            .iter()
-            .find(|(t, _)| *t == rtype)
-            .map(|(_, terms)| terms)
-            .expect("terms refreshed for every queued request type")
-    }
-}
-
-/// One shard's slice of the index. Detachable ([`ReorderIndex::take_shard`])
-/// so the parallel admission pass can move it into a shard worker and pop
-/// locally without touching shared state.
-#[derive(Debug, Default)]
-pub struct ShardQueues {
-    queues: Vec<TypeQueue>,
-    len: usize,
-}
-
-impl ShardQueues {
-    /// Queued requests in this shard.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the shard has no queued requests.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn insert(&mut self, req: RequestInfo) {
-        let qi = match self.queues.iter().position(|q| q.rtype == req.rtype) {
-            Some(qi) => qi,
-            None => {
-                // Type queues stay in ascending-rtype order so scan order —
-                // and with it any tie resolution — is a function of content,
-                // never of arrival history.
-                let at = self.queues.partition_point(|q| q.rtype.0 < req.rtype.0);
-                self.queues.insert(at, TypeQueue { rtype: req.rtype, reqs: VecDeque::new() });
-                at
-            }
-        };
-        let q = &mut self.queues[qi].reqs;
-        let key = (req.arrival, req.id);
-        let at = q.partition_point(|r| (r.arrival, r.id) <= key);
-        q.insert(at, req);
-        self.len += 1;
-    }
-
-    /// Index of the type queue whose front pops next under the reorder
-    /// ratio, with that front's ratio.
-    fn best_by_ratio(&self, now: SimTime, terms: &TermsTable) -> Option<(usize, f64)> {
-        let mut best: Option<(usize, f64)> = None;
-        for (qi, q) in self.queues.iter().enumerate() {
-            let Some(front) = q.reqs.front() else { continue };
-            let r = terms.get(q.rtype).ratio(front, now);
-            let better = match best {
-                None => true,
-                Some((bqi, br)) => {
-                    let bf = self.queues[bqi].reqs.front().expect("best has a front");
-                    ratio_order(r, front, br, bf) == std::cmp::Ordering::Less
-                }
-            };
-            if better {
-                best = Some((qi, r));
-            }
-        }
-        best
-    }
-
-    /// Index of the type queue whose front is the `(arrival, id)` minimum
-    /// (the FCFS pop).
-    fn best_by_arrival(&self) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (qi, q) in self.queues.iter().enumerate() {
-            let Some(front) = q.reqs.front() else { continue };
-            let better = match best {
-                None => true,
-                Some(bqi) => {
-                    let bf = self.queues[bqi].reqs.front().expect("best has a front");
-                    (front.arrival, front.id) < (bf.arrival, bf.id)
-                }
-            };
-            if better {
-                best = Some(qi);
-            }
-        }
-        best
-    }
-
-    fn pop_front_of(&mut self, qi: usize) -> RequestInfo {
-        let req = self.queues[qi].reqs.pop_front().expect("queue selected non-empty");
-        self.len -= 1;
-        req
-    }
-
-    /// Pops the highest-ratio waiting request (the sort-based path's next
-    /// admission candidate), with its ratio.
-    pub fn pop_max(&mut self, now: SimTime, terms: &TermsTable) -> Option<(f64, RequestInfo)> {
-        let (qi, r) = self.best_by_ratio(now, terms)?;
-        Some((r, self.pop_front_of(qi)))
-    }
-
-    /// Pops the earliest-arrived waiting request (the FCFS ablation).
-    pub fn pop_min(&mut self) -> Option<RequestInfo> {
-        let qi = self.best_by_arrival()?;
-        Some(self.pop_front_of(qi))
-    }
-}
-
 /// Cached per-type ratio terms plus the profile version they were computed
 /// against (0 when the type's DAG has no root service to profile).
 #[derive(Debug)]
@@ -183,13 +69,11 @@ struct CachedTerms {
 /// equivalence argument and invalidation rules.
 #[derive(Debug, Default)]
 pub struct ReorderIndex {
-    shards: Vec<ShardQueues>,
+    /// Per home shard, its type queues in ascending-rtype order, so scan
+    /// order — and with it any tie resolution — is a function of content,
+    /// never of arrival history.
+    shards: Vec<Vec<TypeQueue>>,
     terms: Vec<CachedTerms>,
-    /// Shared worker snapshot of `terms`, rebuilt lazily after a refresh
-    /// actually changes something (rounds fire per arrival; rebuilding the
-    /// table every round was measurable on the 2M soak).
-    snapshot: std::sync::Arc<TermsTable>,
-    snapshot_stale: bool,
     len: usize,
 }
 
@@ -209,19 +93,21 @@ impl ReorderIndex {
         self.len == 0
     }
 
-    /// Whether shard `s` has queued requests.
-    pub fn shard_has_work(&self, s: usize) -> bool {
-        self.shards.get(s).is_some_and(|sh| !sh.is_empty())
-    }
-
     /// Queues `req` under its home shard, preserving `(arrival, id)` order
     /// within its type queue (so deferral re-insertions land back at the
     /// exact position the pop took them from).
     pub fn insert(&mut self, req: RequestInfo, shard: usize) {
         if self.shards.len() <= shard {
-            self.shards.resize_with(shard + 1, ShardQueues::default);
+            self.shards.resize_with(shard + 1, Vec::new);
         }
-        self.shards[shard].insert(req);
+        let queues = &mut self.shards[shard];
+        let at = queues.partition_point(|q| q.rtype.0 < req.rtype.0);
+        if queues.get(at).is_none_or(|q| q.rtype != req.rtype) {
+            queues.insert(at, TypeQueue { rtype: req.rtype, reqs: VecDeque::new() });
+        }
+        let q = &mut queues[at].reqs;
+        let key = (req.arrival, req.id);
+        q.insert(q.partition_point(|r| (r.arrival, r.id) <= key), req);
         self.len += 1;
     }
 
@@ -232,8 +118,8 @@ impl ReorderIndex {
     /// invalidations and are not reported.
     pub fn refresh_terms(&mut self, ctx: &SchedulerCtx<'_>) -> Vec<(RequestTypeId, u64)> {
         let mut invalidated = Vec::new();
-        for sh in &self.shards {
-            for q in &sh.queues {
+        for queues in &self.shards {
+            for q in queues {
                 if q.reqs.is_empty() {
                     continue;
                 }
@@ -243,7 +129,6 @@ impl ReorderIndex {
                         if version != c.version {
                             c.terms = RatioTerms::for_type(q.rtype, ctx);
                             c.version = version;
-                            self.snapshot_stale = true;
                             invalidated.push((q.rtype, version));
                         }
                     }
@@ -256,7 +141,6 @@ impl ReorderIndex {
                             version: root.map_or(0, |s| ctx.profiles.version(s)),
                             terms: RatioTerms::for_type(q.rtype, ctx),
                         });
-                        self.snapshot_stale = true;
                     }
                 }
             }
@@ -264,31 +148,29 @@ impl ReorderIndex {
         invalidated
     }
 
-    /// Snapshot of the cached terms for shard workers, shared via `Arc`
-    /// and rebuilt only when a refresh changed a term.
-    pub fn terms_table(&mut self) -> std::sync::Arc<TermsTable> {
-        if self.snapshot_stale {
-            self.snapshot = std::sync::Arc::new(TermsTable(
-                self.terms.iter().map(|c| (c.rtype, c.terms)).collect(),
-            ));
-            self.snapshot_stale = false;
-        }
-        std::sync::Arc::clone(&self.snapshot)
-    }
-
-    /// The champion front across every shard under the reorder ratio:
-    /// `(shard, queue, ratio)`.
-    fn best_by_ratio(&self, now: SimTime) -> Option<(usize, usize, f64)> {
+    /// The front that pops next, as `(shard, queue, ratio)`, among shard
+    /// `only`'s fronts or every shard's when `None`. With `ranked_at` set
+    /// the fronts compete under the reorder ratio at that instant;
+    /// without it every ratio reads 0, so [`ratio_order`] falls through
+    /// to its `(arrival, id)` tie-break — the FCFS order.
+    fn best_front(
+        &self,
+        only: Option<usize>,
+        ranked_at: Option<SimTime>,
+    ) -> Option<(usize, usize, f64)> {
+        let shards = match only {
+            Some(s) => s..(s + 1).min(self.shards.len()),
+            None => 0..self.shards.len(),
+        };
         let mut best: Option<(usize, usize, f64)> = None;
-        for (si, sh) in self.shards.iter().enumerate() {
-            for (qi, q) in sh.queues.iter().enumerate() {
+        for si in shards {
+            for (qi, q) in self.shards[si].iter().enumerate() {
                 let Some(front) = q.reqs.front() else { continue };
-                let r = self.terms_for(q.rtype).ratio(front, now);
+                let r = ranked_at.map_or(0.0, |now| self.terms_for(q.rtype).ratio(front, now));
                 let better = match best {
                     None => true,
                     Some((bsi, bqi, br)) => {
-                        let bf =
-                            self.shards[bsi].queues[bqi].reqs.front().expect("best has a front");
+                        let bf = self.shards[bsi][bqi].reqs.front().expect("best has a front");
                         ratio_order(r, front, br, bf) == std::cmp::Ordering::Less
                     }
                 };
@@ -300,6 +182,12 @@ impl ReorderIndex {
         best
     }
 
+    fn pop_front(&mut self, (si, qi, r): (usize, usize, f64)) -> (f64, RequestInfo) {
+        let req = self.shards[si][qi].reqs.pop_front().expect("selected non-empty");
+        self.len -= 1;
+        (r, req)
+    }
+
     fn terms_for(&self, rtype: RequestTypeId) -> &RatioTerms {
         self.terms
             .iter()
@@ -308,54 +196,26 @@ impl ReorderIndex {
             .expect("refresh_terms ran before ranked access")
     }
 
-    /// The request the next [`pop_max`](Self::pop_max) would return, with
-    /// its ratio (the audit record's head + rank).
+    /// The request the next global [`pop_max`](Self::pop_max) would
+    /// return, with its ratio (the audit record's head + rank).
     pub fn peek_max(&self, now: SimTime) -> Option<(f64, &RequestInfo)> {
-        let (si, qi, r) = self.best_by_ratio(now)?;
-        Some((r, self.shards[si].queues[qi].reqs.front().expect("selected non-empty")))
+        let (si, qi, r) = self.best_front(None, Some(now))?;
+        Some((r, self.shards[si][qi].reqs.front().expect("selected non-empty")))
     }
 
-    /// Pops the globally highest-ratio request (sorted-path order).
-    pub fn pop_max(&mut self, now: SimTime) -> Option<(f64, RequestInfo)> {
-        let (si, qi, r) = self.best_by_ratio(now)?;
-        self.len -= 1;
-        Some((r, self.shards[si].pop_front_of(qi)))
+    /// Pops the highest-ratio request (sorted-path order) of shard `only`,
+    /// or of the whole index when `None`. A shard's pops are the global
+    /// order restricted to that shard.
+    pub fn pop_max(&mut self, now: SimTime, only: Option<usize>) -> Option<(f64, RequestInfo)> {
+        let best = self.best_front(only, Some(now))?;
+        Some(self.pop_front(best))
     }
 
-    /// Pops the globally earliest-arrived request (FCFS ablation order).
-    pub fn pop_min(&mut self) -> Option<RequestInfo> {
-        let mut best: Option<(usize, usize)> = None;
-        for (si, sh) in self.shards.iter().enumerate() {
-            for (qi, q) in sh.queues.iter().enumerate() {
-                let Some(front) = q.reqs.front() else { continue };
-                let better = match best {
-                    None => true,
-                    Some((bsi, bqi)) => {
-                        let bf =
-                            self.shards[bsi].queues[bqi].reqs.front().expect("best has a front");
-                        (front.arrival, front.id) < (bf.arrival, bf.id)
-                    }
-                };
-                if better {
-                    best = Some((si, qi));
-                }
-            }
-        }
-        let (si, qi) = best?;
-        self.len -= 1;
-        Some(self.shards[si].pop_front_of(qi))
-    }
-
-    /// Detaches shard `s`'s queues for a parallel worker. The worker drains
-    /// them completely (admissions plus deferrals); deferred requests come
-    /// back through [`insert`](Self::insert) after the barrier.
-    pub fn take_shard(&mut self, s: usize) -> ShardQueues {
-        if s >= self.shards.len() {
-            return ShardQueues::default();
-        }
-        let sq = std::mem::take(&mut self.shards[s]);
-        self.len -= sq.len;
-        sq
+    /// Pops the earliest-arrived request (FCFS ablation order) of shard
+    /// `only`, or of the whole index when `None`.
+    pub fn pop_min(&mut self, only: Option<usize>) -> Option<RequestInfo> {
+        let best = self.best_front(only, None)?;
+        Some(self.pop_front(best).1)
     }
 }
 
@@ -437,7 +297,7 @@ mod tests {
         sort_by_reorder_ratio(&mut reference, now, &ctx);
         index.refresh_terms(&ctx);
         let mut popped = Vec::new();
-        while let Some((_, r)) = index.pop_max(now) {
+        while let Some((_, r)) = index.pop_max(now, None) {
             popped.push(r);
         }
         assert_eq!(popped, reference, "lazy merge must replay the sort order");
@@ -455,7 +315,7 @@ mod tests {
         let mut expected = reqs.clone();
         expected.sort_by_key(|r| (r.arrival, r.id));
         let mut popped = Vec::new();
-        while let Some(r) = index.pop_min() {
+        while let Some(r) = index.pop_min(None) {
             popped.push(r);
         }
         assert_eq!(popped, expected);
@@ -473,9 +333,9 @@ mod tests {
         let now = SimTime::from_millis(1000);
         let ctx = h.ctx();
         index.refresh_terms(&ctx);
-        let (rank, head) = index.pop_max(now).unwrap();
+        let (rank, head) = index.pop_max(now, None).unwrap();
         index.insert(head, 0);
-        let (rank2, head2) = index.pop_max(now).unwrap();
+        let (rank2, head2) = index.pop_max(now, None).unwrap();
         assert_eq!(head, head2, "a re-queued deferral keeps its position");
         assert_eq!(rank.to_bits(), rank2.to_bits());
     }
@@ -509,7 +369,7 @@ mod tests {
         // fresh sort's scoring.
         let mut reference = vec![a, b];
         sort_by_reorder_ratio(&mut reference, ctx.now, &ctx);
-        let (_, head) = index.pop_max(ctx.now).unwrap();
+        let (_, head) = index.pop_max(ctx.now, None).unwrap();
         assert_eq!(head, reference[0]);
     }
 
@@ -585,7 +445,7 @@ mod tests {
                             sort_by_reorder_ratio(&mut mirror, now, &ctx);
                             index.refresh_terms(&ctx);
                             for _ in 0..count.min(mirror.len()) {
-                                let (_, got) = index.pop_max(now).expect("mirror non-empty");
+                                let (_, got) = index.pop_max(now, None).expect("mirror non-empty");
                                 let want = mirror.remove(0);
                                 prop_assert_eq!(got, want, "index diverged from sort order");
                             }
@@ -598,7 +458,7 @@ mod tests {
     }
 
     #[test]
-    fn take_shard_detaches_and_len_tracks() {
+    fn shard_pops_replay_the_shard_subsequence() {
         let mut h = H::new();
         let reqs = mixed_queue(&h);
         let mut index = ReorderIndex::new();
@@ -608,20 +468,25 @@ mod tests {
         let total = index.len();
         let ctx = h.ctx();
         index.refresh_terms(&ctx);
-        let terms = index.terms_table();
-        let mut shard0 = index.take_shard(0);
-        assert_eq!(index.len() + shard0.len(), total);
-        assert!(!index.shard_has_work(0));
-        assert!(index.shard_has_work(1));
-        // The detached shard pops its own subsequence of the global order.
         let now = ctx.now;
         let mut local = Vec::new();
-        while let Some((_, r)) = shard0.pop_max(now, &terms) {
+        while let Some((_, r)) = index.pop_max(now, Some(0)) {
             local.push(r);
         }
         let mut expected: Vec<RequestInfo> =
             reqs.iter().copied().filter(|r| r.id.0 % 2 == 0).collect();
         sort_by_reorder_ratio(&mut expected, now, &ctx);
         assert_eq!(local, expected);
+        assert_eq!(index.len() + local.len(), total);
+        assert!(index.pop_max(now, Some(7)).is_none(), "a shard never seen is empty");
+        let mut fcfs = Vec::new();
+        while let Some(r) = index.pop_min(Some(1)) {
+            fcfs.push(r);
+        }
+        let mut expected: Vec<RequestInfo> =
+            reqs.iter().copied().filter(|r| r.id.0 % 2 == 1).collect();
+        expected.sort_by_key(|r| (r.arrival, r.id));
+        assert_eq!(fcfs, expected);
+        assert!(index.is_empty());
     }
 }

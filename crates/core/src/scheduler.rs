@@ -11,9 +11,9 @@ use crate::organizer::{DtPolicy, OrganizerPolicy};
 use crate::reorder::sort_by_reorder_ratio;
 use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
-use mlp_cluster::{MachineId, ShardPool};
+use mlp_cluster::MachineId;
 use mlp_model::VolatilityClass;
-use mlp_sched::placement::{plan_request, plan_request_in_shard, unreserve_plan, FitCursor};
+use mlp_sched::placement::{plan_request, unreserve_plan, FitCursor, Scope};
 use mlp_sched::{
     HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
 };
@@ -21,6 +21,7 @@ use mlp_sim::{FastHashMap, SimDuration, SimTime};
 use mlp_trace::metrics::names;
 use mlp_trace::{Decision, DecisionKind, RequestId, Span};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Feature switches for v-MLP; every design decision called out in
 /// DESIGN.md §6 can be ablated independently. [`VMlpConfig::paper`] is the
@@ -95,13 +96,36 @@ pub struct VMlpScheduler {
     delay_slots: DelaySlotIndex,
     rr_cursor: usize,
     fit: FitCursor,
-    /// Per-shard placement cursors for the parallel passes, kept across
-    /// rounds so their probe maps retain capacity — a fresh map per job
-    /// per round spent more time growing and rehashing than probing.
-    /// `begin_round` inside the job gives them the exact same lifetime
-    /// semantics as the sequential `fit` above.
-    shard_fits: Vec<FitCursor>,
     interface: InterfaceLayer,
+}
+
+/// Where one admission walk takes its requests from, and how far its
+/// placements may reach.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Walk {
+    /// The whole waiting queue in admission order, placed cluster-wide:
+    /// the one-shard round and the head-of-line ablation.
+    Queue,
+    /// One shard's waiting requests in admission order, placed in that
+    /// shard only.
+    HomeShard(usize),
+    /// The requests the home-shard walks could not place, in shard order,
+    /// placed cluster-wide.
+    Overflow,
+}
+
+/// One admission round's working state.
+#[derive(Default)]
+struct Round {
+    /// The sort-based reference queue, sorted and split by walk source:
+    /// one lane per shard in a phased round, a single lane otherwise.
+    /// Empty on the indexed path, which pops from the index in place.
+    lanes: Vec<VecDeque<RequestInfo>>,
+    /// Requests waiting for the overflow walk.
+    overflow: VecDeque<RequestInfo>,
+    /// Requests deferred to the next round.
+    deferred: Vec<RequestInfo>,
+    plans: Vec<RequestPlan>,
 }
 
 impl VMlpScheduler {
@@ -120,7 +144,6 @@ impl VMlpScheduler {
             delay_slots: DelaySlotIndex::default(),
             rr_cursor: 0,
             fit: FitCursor::new(),
-            shard_fits: Vec::new(),
             interface: InterfaceLayer::new(),
         }
     }
@@ -278,279 +301,122 @@ impl VMlpScheduler {
         }
     }
 
-    /// The sequential admission round over the incremental index: pops
-    /// replace the sorted queue walk one-for-one (the lazy merge replays
-    /// the sort's exact order — see [`crate::reorder_index`]), and every
-    /// audit record matches the sort-based reference in
-    /// [`schedule`](Scheduler::schedule) reason-for-reason.
-    fn schedule_indexed(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        self.fit.begin_round(ctx.now);
-        if self.index.is_empty() {
-            return Vec::new();
+    /// Line 1–2 of Algorithm 1: rank the waiting queue for this round.
+    /// (The machine status "refresh" is the ledger state itself, which
+    /// completions and trims keep current.) The sort-based reference
+    /// re-sorts its queue; the index only revalidates its cached terms,
+    /// since its pops replay the sort's order.
+    fn rank_queue(&mut self, ctx: &SchedulerCtx<'_>) {
+        if !self.cfg.reorder {
+            return;
         }
-        if self.cfg.reorder {
+        if !self.cfg.unindexed_reorder {
             // Terms must be current before any ranked pop, even with a
-            // single waiter; the head record matches the sort path's
-            // len > 1 condition.
+            // single waiter.
             self.refresh_index_terms(ctx);
-            if self.index.len() > 1 && ctx.audit.is_enabled() {
-                if let Some((rank, head)) = self.index.peek_max(ctx.now) {
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                            .request(head.id)
-                            .rank(rank)
-                            .value(self.index.len() as f64),
-                    );
-                }
-            }
+        } else if self.queue.len() > 1 {
+            sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
         }
-
-        let mut plans = Vec::new();
-        let mut deferred: Vec<RequestInfo> = Vec::new();
-        let mut failures = 0usize;
-        while failures < mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-            let popped = if self.cfg.reorder {
-                self.index.pop_max(ctx.now).map(|(_, r)| r)
-            } else {
-                self.index.pop_min()
-            };
-            let Some(req) = popped else { break };
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(self.cfg.dt_policy, rt.volatility);
-            match plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
-                None => {
-                    failures += 1;
-                    deferred.push(req);
-                    if self.cfg.queue_switch {
-                        ctx.metrics.inc(names::QUEUE_SWITCHES);
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                    } else {
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "head-of-line-block")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                        // Head-of-line blocking: everything still queued
-                        // simply stays in the index for the next round.
-                        break;
-                    }
-                }
-            }
+        if self.waiting() < 2 || !ctx.audit.is_enabled() {
+            return;
         }
-        // Deferred pops rejoin their home shard's type queue at the exact
-        // (arrival, id) position the pop removed them from.
-        for req in deferred {
-            let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
-            self.index.insert(req, shard);
-        }
-        plans
+        // Name the request the ranking put at the head, with the rank
+        // that put it there.
+        let (rank, head) = if self.cfg.unindexed_reorder {
+            let head = self.queue[0];
+            (crate::reorder::reorder_ratio(&head, ctx.now, ctx), head)
+        } else {
+            let (rank, head) = self.index.peek_max(ctx.now).expect("two or more waiting");
+            (rank, *head)
+        };
+        ctx.audit.record(
+            Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
+                .request(head.id)
+                .rank(rank)
+                .value(self.waiting() as f64),
+        );
     }
 
-    /// The parallel admission pass over the incremental index: same three
-    /// phases as the sorted variant in
-    /// [`schedule_parallel`](Scheduler::schedule_parallel), but each shard
-    /// worker pops its *detached* shard queues locally instead of receiving
-    /// a pre-sorted slice. Shard-local pop order is the global sorted
-    /// order restricted to the shard, so the merged outcome matches the
-    /// sorted pass record-for-record.
-    fn schedule_parallel_indexed(
-        &mut self,
-        ctx: &mut SchedulerCtx<'_>,
-        pool: &ShardPool,
-    ) -> Vec<RequestPlan> {
-        if self.index.is_empty() {
-            return Vec::new();
+    /// The next request `walk` admits, or `None` when its source is empty.
+    fn next_request(&mut self, walk: Walk, round: &mut Round, now: SimTime) -> Option<RequestInfo> {
+        let shard = match walk {
+            Walk::Overflow => return round.overflow.pop_front(),
+            Walk::Queue => None,
+            Walk::HomeShard(s) => Some(s),
+        };
+        if self.cfg.unindexed_reorder {
+            round.lanes[shard.unwrap_or(0)].pop_front()
+        } else if self.cfg.reorder {
+            self.index.pop_max(now, shard).map(|(_, r)| r)
+        } else {
+            self.index.pop_min(shard)
         }
-        self.fit.begin_round(ctx.now);
+    }
 
-        // Phase 1 — terms refresh plus the head-of-queue audit record,
-        // matching the sorted pass's global reorder.
-        if self.cfg.reorder {
-            self.refresh_index_terms(ctx);
-            if self.index.len() > 1 && ctx.audit.is_enabled() {
-                if let Some((rank, head)) = self.index.peek_max(ctx.now) {
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                            .request(head.id)
-                            .rank(rank)
-                            .value(self.index.len() as f64),
-                    );
-                }
-            }
-        }
-
-        // Phase 2 — detach each working shard's queues and plan on the
-        // pool. Workers drain their queues completely: a detached queue
-        // has no owner after the job, so even past the failure cap every
-        // remaining request is popped into the deferral list.
-        let shards = ctx.cluster.shard_count();
-        let mut wanted = vec![false; shards];
-        for (s, w) in wanted.iter_mut().enumerate() {
-            *w = self.index.shard_has_work(s);
-        }
-        let env = ctx.env();
-        let dt_policy = self.cfg.dt_policy;
-        let reorder = self.cfg.reorder;
-        let audit_on = ctx.audit.is_enabled();
-        // One shared terms snapshot, rebuilt only when a refresh changed a
-        // term — rounds fire per arrival, so a per-round rebuild plus a
-        // per-job deep clone were both measurable.
-        let terms = self.index.terms_table();
-        if self.shard_fits.len() < shards {
-            self.shard_fits.resize_with(shards, FitCursor::new);
-        }
-        let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
-        let jobs: Vec<_> = by_shard
-            .into_iter()
-            .map(|(s, mut machines)| {
-                let mut queues = self.index.take_shard(s);
-                let terms = std::sync::Arc::clone(&terms);
-                // Worker-local placement cursor: probes against this
-                // shard's ledgers, which only this worker writes. Taken
-                // from (and returned to) its persistent slot so the probe
-                // map keeps its capacity across rounds.
-                let mut fit = std::mem::take(&mut self.shard_fits[s]);
-                move |_shard: usize| {
-                    let mut out = ShardPass { shard: s, ..ShardPass::default() };
-                    let mut failures = 0usize;
-                    fit.begin_round(env.now);
-                    loop {
-                        let at_cap = failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-                        let popped = if reorder {
-                            queues.pop_max(env.now, &terms).map(|(_, r)| r)
-                        } else {
-                            queues.pop_min()
-                        };
-                        let Some(req) = popped else { break };
-                        if at_cap {
-                            // Shard saturated for this round: everything
-                            // behind the cap rides to the overflow pass.
-                            out.deferred.push(req);
-                            continue;
-                        }
-                        let rt = env.catalog.request(req.rtype);
-                        let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(&req, &policy, &env, &mut fit, &mut machines) {
-                            Some(plan) => {
-                                if audit_on {
-                                    let root_budget = plan
-                                        .nodes
-                                        .first()
-                                        .map_or(0.0, |np| np.budget.as_millis_f64());
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::BudgetTier,
-                                            "banded-dt",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value())
-                                        .budget_ms(root_budget),
-                                    );
-                                }
-                                out.admitted.push((req, plan));
-                            }
-                            None => {
-                                failures += 1;
-                                if audit_on {
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::Defer,
-                                            "no-home-shard-slot",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value()),
-                                    );
-                                }
-                                out.deferred.push(req);
-                            }
-                        }
-                    }
-                    out.fit = fit;
-                    out
-                }
-            })
-            .collect();
-        let outcomes = pool.scatter(jobs);
-
-        // Phase 3a — barrier merge, fixed shard-index order.
-        let mut plans = Vec::new();
-        let mut overflow: Vec<RequestInfo> = Vec::new();
-        for out in outcomes {
-            self.shard_fits[out.shard] = out.fit;
-            for d in out.decisions {
-                ctx.audit.record(d);
-            }
-            for (req, plan) in out.admitted {
-                self.admit(req, plan.clone(), ctx);
-                plans.push(plan);
-            }
-            overflow.extend(out.deferred);
-        }
-
-        // Phase 3b — sequential overflow pass, identical to the sorted
-        // variant: whole-cluster scan for requests their home shard could
-        // not host.
-        let mut deferred = Vec::new();
+    /// One admission walk: plan each request `walk` yields in turn until
+    /// the source runs dry or [`MAX_ADMIT_TRIES_PER_ROUND`] plans have
+    /// failed. A failed request is deferred and the walk moves on to the
+    /// next one ("switch `r_i` with `r_{i+1}`"), except under the
+    /// head-of-line ablation, which stops at the first failure. A home-
+    /// shard walk hands its failures, and everything behind its failure
+    /// cap, to the overflow walk instead of deferring them.
+    ///
+    /// [`MAX_ADMIT_TRIES_PER_ROUND`]: mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND
+    fn admit_walk(&mut self, walk: Walk, round: &mut Round, ctx: &mut SchedulerCtx<'_>) {
+        let home_only = matches!(walk, Walk::HomeShard(_));
+        let (scope, reason) = if home_only {
+            (Scope::HomeShard, "no-home-shard-slot")
+        } else if self.cfg.queue_switch {
+            (Scope::Cluster, "queue-switch")
+        } else {
+            (Scope::Cluster, "head-of-line-block")
+        };
         let mut failures = 0usize;
-        for (i, req) in overflow.iter().enumerate() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&overflow[i..]);
-                break;
-            }
+        while failures < mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
+            let Some(req) = self.next_request(walk, round, ctx.now) else { break };
             let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
+            let policy = organizer_policy(self.cfg.dt_policy, rt.volatility);
+            let Some(plan) =
+                plan_request(&req, &policy, scope, &mut self.rr_cursor, &mut self.fit, ctx)
+            else {
+                failures += 1;
+                if home_only {
+                    round.overflow.push_back(req);
+                } else {
+                    round.deferred.push(req);
+                    if self.cfg.queue_switch {
+                        ctx.metrics.inc(names::QUEUE_SWITCHES);
                     }
-                    self.admit(*req, plan.clone(), ctx);
-                    plans.push(plan);
                 }
-                None => {
-                    failures += 1;
-                    deferred.push(*req);
-                    ctx.metrics.inc(names::QUEUE_SWITCHES);
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                            .request(req.id)
-                            .vr(policy.vr.value()),
-                    );
+                ctx.audit.record(
+                    Decision::new(ctx.now, DecisionKind::Defer, reason)
+                        .request(req.id)
+                        .vr(policy.vr.value()),
+                );
+                if !self.cfg.queue_switch {
+                    break;
                 }
+                continue;
+            };
+            if ctx.audit.is_enabled() {
+                // The Δt tier that shaped this plan: the band is a pure
+                // function of V_r, the root budget its output.
+                let root_budget = plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
+                ctx.audit.record(
+                    Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
+                        .request(req.id)
+                        .vr(policy.vr.value())
+                        .budget_ms(root_budget),
+                );
+            }
+            self.admit(req, plan.clone(), ctx);
+            round.plans.push(plan);
+        }
+        if home_only {
+            while let Some(req) = self.next_request(walk, round, ctx.now) {
+                round.overflow.push_back(req);
             }
         }
-        for req in deferred {
-            let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
-            self.index.insert(req, shard);
-        }
-        plans
     }
 }
 
@@ -570,21 +436,6 @@ fn organizer_policy(dt_policy: DtPolicy, volatility: f64) -> OrganizerPolicy {
     }
 }
 
-/// Everything one shard worker produces during a parallel admission pass.
-/// Side effects (admissions, audit records, deferrals) are buffered here
-/// and applied at the barrier in shard-index order, so the merged outcome
-/// is independent of worker count and completion order.
-#[derive(Default)]
-struct ShardPass {
-    admitted: Vec<(RequestInfo, RequestPlan)>,
-    deferred: Vec<RequestInfo>,
-    decisions: Vec<Decision>,
-    /// Which shard this pass ran over, so the worker-local placement
-    /// cursor rides back to its slot in `VMlpScheduler::shard_fits`.
-    shard: usize,
-    fit: FitCursor,
-}
-
 impl Scheduler for VMlpScheduler {
     fn name(&self) -> &'static str {
         "v-MLP"
@@ -593,321 +444,70 @@ impl Scheduler for VMlpScheduler {
     fn on_arrival(&mut self, req: RequestInfo, ctx: &mut SchedulerCtx<'_>) {
         if !self.cfg.unindexed_reorder {
             // Default path: straight into the incremental index, under the
-            // request's home shard (the same partition the parallel
-            // admission pass scatters by).
+            // request's home shard (the partition a phased admission round
+            // walks by).
             let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
             self.index.insert(req, shard);
             return;
         }
-        // Keep the queue sorted by (arrival, id) on insert: the FCFS
-        // ablation then needs no per-round sort at all, and the reorder
+        // Keep the queue sorted by (arrival, id) on insert, as every round
+        // leaves it: the FCFS ablation then walks it as-is, and the reorder
         // sort's (arrival, id) tie-break makes its result independent of
         // input order either way. (arrival, id) is a strict total order —
-        // ids are unique — so upper-bound insertion is exactly what the old
-        // per-round stable sort produced.
+        // ids are unique — so upper-bound insertion is exact.
         let key = (req.arrival, req.id);
         let at = self.queue.partition_point(|r| (r.arrival, r.id) <= key);
         self.queue.insert(at, req);
     }
 
+    /// The admission round (Algorithm 1, DESIGN.md §16): rank the
+    /// waiting queue, then admit through one sequential pass.
+    ///
+    /// With one shard, or under the head-of-line ablation, the pass is a
+    /// single walk over the whole queue. With `K > 1` shards it is phased:
+    /// each shard's waiting requests are walked in ascending shard order
+    /// and placed in their home shard only, then the requests no home
+    /// shard could host get one cross-shard overflow walk. Requests still
+    /// waiting after the round keep their queue positions for the next.
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
-        if !self.cfg.unindexed_reorder {
-            return self.schedule_indexed(ctx);
-        }
-        // --- Sort-based reference path (`unindexed_reorder`) -------------
-        // Line 1–2 of Algorithm 1: the machine status "refresh" is the
-        // ledger state itself, which completions and trims keep current.
-        // The queue is maintained in (arrival, id) order by `on_arrival`
-        // (deferrals below preserve it), so FCFS admits as-is; only the
-        // reorder ratio — a function of `now` — must be re-scored per round.
         self.fit.begin_round(ctx.now);
-        if self.cfg.reorder && self.queue.len() > 1 {
-            sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
-            if ctx.audit.is_enabled() {
-                // Name the request the sort moved to the head, with the
-                // rank that put it there.
-                let head = self.queue[0];
-                let rank = crate::reorder::reorder_ratio(&head, ctx.now, ctx);
-                ctx.audit.record(
-                    Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                        .request(head.id)
-                        .rank(rank)
-                        .value(self.queue.len() as f64),
-                );
-            }
-        }
-
-        let mut plans = Vec::new();
-        let mut deferred = Vec::new();
-        let pending = std::mem::take(&mut self.queue);
-        let mut idx = 0;
-        let mut failures = 0usize;
-        while idx < pending.len() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&pending[idx..]);
-                break;
-            }
-            let req = pending[idx];
-            idx += 1;
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = OrganizerPolicy {
-                vr: Volatility::new(rt.volatility),
-                sla_weight: OrganizerPolicy::DEFAULT_SLA_WEIGHT,
-                dt_policy: self.cfg.dt_policy,
-                horizon: SimDuration::from_secs(10),
-            };
-            match plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        // The Δt tier that shaped this plan: the band is a
-                        // pure function of V_r, the root budget its output.
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
-                None => {
-                    // "If this request is not totally assigned … switch
-                    // r_i with r_{i+1}": defer it and move on.
-                    failures += 1;
-                    deferred.push(req);
-                    if self.cfg.queue_switch {
-                        ctx.metrics.inc(names::QUEUE_SWITCHES);
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                    } else {
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::Defer, "head-of-line-block")
-                                .request(req.id)
-                                .vr(policy.vr.value()),
-                        );
-                        // Head-of-line blocking ablation: stop admitting;
-                        // everything behind the blocked head stays queued.
-                        deferred.extend_from_slice(&pending[idx..]);
-                        break;
-                    }
-                }
-            }
-        }
-        self.queue = deferred;
-        plans
-    }
-
-    /// The parallel admission pass (DESIGN.md §16). Three phases:
-    ///
-    /// 1. **Reorder** (sequential): the global reorder-ratio sort, exactly
-    ///    as in [`schedule`](Scheduler::schedule).
-    /// 2. **Shard-local placement** (on the pool): the sorted queue is
-    ///    partitioned by home shard (preserving relative order) and each
-    ///    shard worker plans its requests against *its own* machines via
-    ///    [`plan_request_in_shard`], buffering plans, deferrals, and audit
-    ///    records. Workers share no mutable state, so the per-shard
-    ///    outcome is a pure function of the shard's inputs — identical at
-    ///    any worker count.
-    /// 3. **Barrier merge + overflow** (sequential): buffered effects are
-    ///    applied in shard-index order, then requests that found no slot
-    ///    in their home shard get one sequential cross-shard overflow pass
-    ///    with the full [`plan_request`] scan.
-    ///
-    /// With one shard the sequential pass *is* the algorithm, so it is
-    /// called directly (byte-identical output). With `K > 1` the schedule
-    /// may differ from the sequential pass (home-shard failures overflow
-    /// at the barrier instead of mid-scan) but is bit-reproducible across
-    /// worker counts. The head-of-line-blocking ablation
-    /// (`queue_switch = false`) is an inherently global-order semantic and
-    /// also stays sequential.
-    fn schedule_parallel(
-        &mut self,
-        ctx: &mut SchedulerCtx<'_>,
-        pool: &ShardPool,
-    ) -> Vec<RequestPlan> {
-        let shards = ctx.cluster.shard_count();
-        if shards <= 1 || !self.cfg.queue_switch {
-            return self.schedule(ctx);
-        }
-        if !self.cfg.unindexed_reorder {
-            return self.schedule_parallel_indexed(ctx, pool);
-        }
-        // Admission rounds fire on every arrival while the queue is short,
-        // so most rounds see an empty or near-empty queue. Every phase
-        // below is a no-op on an empty queue (the reorder needs two
-        // entries, and no shard gets a job), so bail before paying for
-        // the fan-out scaffolding.
-        if self.queue.is_empty() {
+        if self.waiting() == 0 {
             return Vec::new();
         }
-        self.fit.begin_round(ctx.now);
-
-        // Phase 1 — reorder, exactly as the sequential pass does it.
-        if self.cfg.reorder && self.queue.len() > 1 {
-            sort_by_reorder_ratio(&mut self.queue, ctx.now, ctx);
-            if ctx.audit.is_enabled() {
-                let head = self.queue[0];
-                let rank = crate::reorder::reorder_ratio(&head, ctx.now, ctx);
-                ctx.audit.record(
-                    Decision::new(ctx.now, DecisionKind::Reorder, "reorder-ratio-sort")
-                        .request(head.id)
-                        .rank(rank)
-                        .value(self.queue.len() as f64),
-                );
+        self.rank_queue(ctx);
+        let shards = ctx.cluster.shard_count();
+        let phased = shards > 1 && self.cfg.queue_switch;
+        let mut round = Round::default();
+        if self.cfg.unindexed_reorder {
+            round.lanes.resize_with(if phased { shards } else { 1 }, VecDeque::new);
+            for req in self.queue.drain(..) {
+                let lane = if phased { ctx.cluster.home_shard(req.id.0).0 as usize } else { 0 };
+                round.lanes[lane].push_back(req);
             }
         }
-
-        // Phase 2 — partition by home shard and plan on the pool. Only
-        // shards with queued work get a scatter job: fanning out all `K`
-        // per round would pay O(shards + machines) in job scaffolding and
-        // machine-reference collection that a short queue never uses.
-        // The wanted-shard set is a pure function of queue content —
-        // never of worker timing — and jobs stay in ascending shard
-        // order, so the barrier merge order is unchanged.
-        let pending = std::mem::take(&mut self.queue);
-        let mut shard_queues: Vec<Vec<RequestInfo>> = Vec::with_capacity(shards);
-        shard_queues.resize_with(shards, Vec::new);
-        let mut wanted = vec![false; shards];
-        for req in pending {
-            let s = ctx.cluster.home_shard(req.id.0).0 as usize;
-            wanted[s] = true;
-            shard_queues[s].push(req);
-        }
-
-        let env = ctx.env();
-        let dt_policy = self.cfg.dt_policy;
-        let audit_on = ctx.audit.is_enabled();
-        if self.shard_fits.len() < shards {
-            self.shard_fits.resize_with(shards, FitCursor::new);
-        }
-        let by_shard = ctx.cluster.machines_in_shards_mut(&wanted);
-        let jobs: Vec<_> = by_shard
-            .into_iter()
-            .map(|(s, mut machines)| {
-                let reqs = std::mem::take(&mut shard_queues[s]);
-                // Worker-local placement cursor: probes against this
-                // shard's ledgers, which only this worker writes. Taken
-                // from (and returned to) its persistent slot so the probe
-                // map keeps its capacity across rounds.
-                let mut fit = std::mem::take(&mut self.shard_fits[s]);
-                move |_shard: usize| {
-                    let mut out = ShardPass { shard: s, ..ShardPass::default() };
-                    let mut failures = 0usize;
-                    fit.begin_round(env.now);
-                    for (i, req) in reqs.iter().enumerate() {
-                        if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                            // Shard saturated for this round: everything
-                            // behind the cap rides to the overflow pass.
-                            out.deferred.extend_from_slice(&reqs[i..]);
-                            break;
-                        }
-                        let rt = env.catalog.request(req.rtype);
-                        let policy = organizer_policy(dt_policy, rt.volatility);
-                        match plan_request_in_shard(req, &policy, &env, &mut fit, &mut machines) {
-                            Some(plan) => {
-                                if audit_on {
-                                    let root_budget = plan
-                                        .nodes
-                                        .first()
-                                        .map_or(0.0, |np| np.budget.as_millis_f64());
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::BudgetTier,
-                                            "banded-dt",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value())
-                                        .budget_ms(root_budget),
-                                    );
-                                }
-                                out.admitted.push((*req, plan));
-                            }
-                            None => {
-                                failures += 1;
-                                if audit_on {
-                                    out.decisions.push(
-                                        Decision::new(
-                                            env.now,
-                                            DecisionKind::Defer,
-                                            "no-home-shard-slot",
-                                        )
-                                        .request(req.id)
-                                        .vr(policy.vr.value()),
-                                    );
-                                }
-                                out.deferred.push(*req);
-                            }
-                        }
-                    }
-                    out.fit = fit;
-                    out
-                }
-            })
-            .collect();
-        let outcomes = pool.scatter(jobs);
-
-        // Phase 3a — barrier merge, fixed shard-index order.
-        let mut plans = Vec::new();
-        let mut overflow: Vec<RequestInfo> = Vec::new();
-        for out in outcomes {
-            self.shard_fits[out.shard] = out.fit;
-            for d in out.decisions {
-                ctx.audit.record(d);
+        if phased {
+            for s in 0..shards {
+                self.admit_walk(Walk::HomeShard(s), &mut round, ctx);
             }
-            for (req, plan) in out.admitted {
-                self.admit(req, plan.clone(), ctx);
-                plans.push(plan);
-            }
-            overflow.extend(out.deferred);
+            self.admit_walk(Walk::Overflow, &mut round, ctx);
+        } else {
+            self.admit_walk(Walk::Queue, &mut round, ctx);
         }
-
-        // Phase 3b — sequential overflow pass: whole-cluster scan for
-        // requests their home shard could not host (the cross-shard work
-        // stealing the shard-local phase deliberately forgoes).
-        let mut deferred = Vec::new();
-        let mut failures = 0usize;
-        for (i, req) in overflow.iter().enumerate() {
-            if failures >= mlp_sched::baselines::MAX_ADMIT_TRIES_PER_ROUND {
-                deferred.extend_from_slice(&overflow[i..]);
-                break;
-            }
-            let rt = ctx.catalog.request(req.rtype);
-            let policy = organizer_policy(dt_policy, rt.volatility);
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
-                Some(plan) => {
-                    if ctx.audit.is_enabled() {
-                        let root_budget =
-                            plan.nodes.first().map_or(0.0, |np| np.budget.as_millis_f64());
-                        ctx.audit.record(
-                            Decision::new(ctx.now, DecisionKind::BudgetTier, "banded-dt")
-                                .request(req.id)
-                                .vr(policy.vr.value())
-                                .budget_ms(root_budget),
-                        );
-                    }
-                    self.admit(*req, plan.clone(), ctx);
-                    plans.push(plan);
-                }
-                None => {
-                    failures += 1;
-                    deferred.push(*req);
-                    ctx.metrics.inc(names::QUEUE_SWITCHES);
-                    ctx.audit.record(
-                        Decision::new(ctx.now, DecisionKind::Defer, "queue-switch")
-                            .request(req.id)
-                            .vr(policy.vr.value()),
-                    );
-                }
+        let Round { lanes, overflow, deferred, plans } = round;
+        let waiting = deferred.into_iter().chain(overflow).chain(lanes.into_iter().flatten());
+        if self.cfg.unindexed_reorder {
+            // Back in (arrival, id) order, which FCFS walks as-is and
+            // `on_arrival` inserts into.
+            self.queue.extend(waiting);
+            self.queue.sort_unstable_by_key(|r| (r.arrival, r.id));
+        } else {
+            // Each rejoins its home shard's type queue at the exact
+            // (arrival, id) position its pop removed it from.
+            for req in waiting {
+                let shard = ctx.cluster.home_shard(req.id.0).0 as usize;
+                self.index.insert(req, shard);
             }
         }
-        self.queue = deferred;
         plans
     }
 

@@ -99,13 +99,6 @@ pub struct ExperimentConfig {
     /// capacity-balanced). Irrelevant when `shards == 1`.
     #[serde(default)]
     pub shard_policy: ShardPolicy,
-    /// Worker threads for per-tick shard work (parallel admission,
-    /// telemetry, and auditing; DESIGN.md §16). `1` (the default) runs
-    /// everything inline on the simulation thread; `0` means "all
-    /// available cores". Results are bit-identical across worker counts —
-    /// the thread count changes wall time, never the schedule.
-    #[serde(default)]
-    pub workers: usize,
     /// How far back reservation-ledger history is retained, in seconds.
     /// Each sampling tick prunes breakpoints older than `now − retention`;
     /// 2 s (the default, and the previously hardcoded value) comfortably
@@ -187,7 +180,6 @@ impl Deserialize for ExperimentConfig {
             auditor: opt(v, "auditor", false)?,
             shards: opt(v, "shards", 1)?,
             shard_policy: opt(v, "shard_policy", ShardPolicy::RoundRobin)?,
-            workers: opt(v, "workers", 1)?,
             ledger_retention_s: opt(v, "ledger_retention_s", 2.0)?,
             max_requests: opt(v, "max_requests", None)?,
             stream_stats: opt(v, "stream_stats", false)?,
@@ -223,7 +215,6 @@ impl ExperimentConfig {
             auditor: false,
             shards: 1,
             shard_policy: ShardPolicy::RoundRobin,
-            workers: 1,
             ledger_retention_s: 2.0,
             max_requests: None,
             stream_stats: false,
@@ -310,13 +301,6 @@ impl ExperimentConfig {
     pub fn with_shards(mut self, k: usize, policy: ShardPolicy) -> Self {
         self.shards = k;
         self.shard_policy = policy;
-        self
-    }
-
-    /// Sets the shard worker-thread count (`0` = all cores, `1` = inline;
-    /// see [`Self::workers`]).
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
         self
     }
 
@@ -447,7 +431,6 @@ mod tests {
                             | "auditor"
                             | "shards"
                             | "shard_policy"
-                            | "workers"
                             | "ledger_retention_s"
                             | "max_requests"
                             | "stream_stats"
@@ -463,7 +446,6 @@ mod tests {
         assert!(!back.auditor);
         assert_eq!(back.shards, 1, "pre-shard configs load as unsharded");
         assert_eq!(back.shard_policy, ShardPolicy::RoundRobin);
-        assert_eq!(back.workers, 1, "pre-pool configs run inline");
         assert_eq!(back.ledger_retention_s, 2.0, "pre-knob configs keep the old 2 s window");
         assert_eq!(back.max_requests, None, "pre-streaming configs use the dense path");
         assert!(!back.stream_stats);
@@ -471,6 +453,22 @@ mod tests {
         assert!(!back.overload.enabled, "pre-overload configs load with the subsystem off");
         assert_eq!(back.machines, c.machines);
         assert_eq!(back.seed, c.seed);
+
+        // A config written while the shard worker pool existed carries a
+        // `workers` key; it loads with the key ignored and runs the same
+        // experiment.
+        let serde_json::Value::Object(mut entries) = serde_json::to_value(&c).unwrap() else {
+            panic!("config serializes to an object")
+        };
+        entries.push(("workers".to_string(), serde_json::to_value(&8u64).unwrap()));
+        let pooled: ExperimentConfig =
+            serde_json::from_value(serde_json::Value::Object(entries)).unwrap();
+        assert_eq!(pooled, c);
+        let a = crate::Experiment::from_config(pooled).run().unwrap();
+        let b = crate::Experiment::from_config(c).run().unwrap();
+        assert_eq!(a.completed, b.completed);
+        assert_eq!(a.latency_ms, b.latency_ms);
+        assert_eq!(a.violation_rate, b.violation_rate);
     }
 
     #[test]

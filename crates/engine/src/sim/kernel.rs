@@ -261,7 +261,7 @@ impl<'c, D: Driver> Sim<'c, D> {
         self.last_round = now;
         let plans = {
             let mut ctx = sched_ctx!(self, now);
-            scheduler.schedule_parallel(&mut ctx, &self.pool)
+            scheduler.schedule(&mut ctx)
         };
         // Adapt the round spacing: a saturated cluster gains nothing from
         // re-examining the same backlog every few milliseconds.

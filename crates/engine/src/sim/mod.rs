@@ -51,7 +51,7 @@
 //! plateaus near rate × residence time while arrivals grow without bound.
 
 use crate::config::ExperimentConfig;
-use mlp_cluster::{Cluster, GrantId, MachineId, ShardPool};
+use mlp_cluster::{Cluster, GrantId, MachineId};
 use mlp_faults::FaultSchedule;
 use mlp_model::{RequestCatalog, RequestTypeId, ResourceVector};
 use mlp_net::NetworkModel;
@@ -317,7 +317,6 @@ fn build_sim<'c, D: Driver>(
 ) -> Sim<'c, D> {
     Sim {
         cluster: cfg.build_cluster(),
-        pool: ShardPool::new(cfg.workers),
         catalog,
         profiles,
         net: NetworkModel::paper_default(),
@@ -363,9 +362,6 @@ fn build_sim<'c, D: Driver>(
 
 struct Sim<'c, D: Driver> {
     cluster: Cluster,
-    /// Worker pool for per-tick shard work (admission, telemetry,
-    /// auditing). One worker (the default) executes inline.
-    pool: ShardPool,
     catalog: &'c RequestCatalog,
     profiles: ProfileStore,
     net: NetworkModel,

@@ -24,52 +24,18 @@ impl<'c, D: Driver> Sim<'c, D> {
         // default 2 s matches the historical hardcoded window, and the
         // auditor cross-checks that a tighter window never breaks
         // reservation consistency.
-        //
-        // Pruning (and the timeline-length survey that follows) is
-        // per-machine-independent, so on a sharded cluster it fans out
-        // over the worker pool; lengths come back per shard and the gauge
-        // publication below walks them in shard-index order. Each gauge
-        // name is machine-unique, so the published state is identical to
-        // the sequential walk at any worker count.
-        let cutoff = now.saturating_sub(self.ledger_retention);
+        self.cluster.prune_ledgers_before(now.saturating_sub(self.ledger_retention));
+        // Publish how much timeline pruning left behind: the per-machine
+        // gauges plus a cluster max (a high-water mark across ticks) and
+        // per-tick total. Long runs assert on these to prove retained
+        // breakpoints stay bounded.
         let mut total = 0usize;
         let mut largest = 0usize;
-        if self.cluster.shard_count() > 1 {
-            let jobs: Vec<_> = self
-                .cluster
-                .machines_by_shard_mut()
-                .into_iter()
-                .map(|mut machines| {
-                    move |_s: usize| {
-                        machines
-                            .iter_mut()
-                            .map(|m| {
-                                m.ledger.prune_before(cutoff);
-                                (m.id.0, m.ledger.timeline_len())
-                            })
-                            .collect::<Vec<(u32, usize)>>()
-                    }
-                })
-                .collect();
-            for lens in self.pool.scatter(jobs) {
-                for (machine, len) in lens {
-                    total += len;
-                    largest = largest.max(len);
-                    self.metrics.set_gauge(&names::ledger_timeline(machine), len as f64);
-                }
-            }
-        } else {
-            self.cluster.prune_ledgers_before(cutoff);
-            // Publish how much timeline pruning left behind: the
-            // per-machine gauges plus a cluster max (a high-water mark
-            // across ticks) and per-tick total. Long runs assert on these
-            // to prove retained breakpoints stay bounded.
-            for m in self.cluster.machines() {
-                let len = m.ledger.timeline_len();
-                total += len;
-                largest = largest.max(len);
-                self.metrics.set_gauge(&names::ledger_timeline(m.id.0), len as f64);
-            }
+        for m in self.cluster.machines() {
+            let len = m.ledger.timeline_len();
+            total += len;
+            largest = largest.max(len);
+            self.metrics.set_gauge(&names::ledger_timeline(m.id.0), len as f64);
         }
         let max_seen =
             self.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap_or(0.0).max(largest as f64);

@@ -35,7 +35,7 @@ pub struct FaultConfig {
     pub machine_crashes: u32,
     /// Start of the fault storm (crashes and degradation begin here).
     pub storm_start_ms: u64,
-    /// Length of the window in which crashes are scattered.
+    /// Length of the window over which crashes are spread.
     pub storm_duration_ms: u64,
     /// How long each crashed machine stays down before recovering.
     pub outage_ms: u64,

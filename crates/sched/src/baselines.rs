@@ -1,6 +1,6 @@
 //! The four comparison schemes of Table VI.
 
-use crate::placement::{plan_request, FitCursor, MachinePolicy, PlanPolicy};
+use crate::placement::{plan_request, FitCursor, MachinePolicy, PlanPolicy, Scope};
 use crate::plan::{RequestInfo, RequestPlan};
 use crate::scheduler::{PlanEnv, Scheduler, SchedulerCtx};
 use mlp_model::{Microservice, ResourceVector};
@@ -81,8 +81,15 @@ impl Scheduler for FairSched {
         let policy = FairPolicy { slice: ctx.cluster.machines()[0].capacity * (1.0 / FAIR_SLOTS) };
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &policy, &mut self.rr_cursor, &mut self.fit, ctx)
-                .expect("round-robin placement cannot fail");
+            let plan = plan_request(
+                &req,
+                &policy,
+                Scope::Cluster,
+                &mut self.rr_cursor,
+                &mut self.fit,
+                ctx,
+            )
+            .expect("round-robin placement cannot fail");
             plans.push(plan);
         }
         plans
@@ -144,8 +151,15 @@ impl Scheduler for CurSched {
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan> {
         let mut plans = Vec::with_capacity(self.queue.len());
         while let Some(req) = self.queue.pop_front() {
-            let plan = plan_request(&req, &CurPolicy, &mut self.rr_cursor, &mut self.fit, ctx)
-                .expect("least-loaded placement cannot fail");
+            let plan = plan_request(
+                &req,
+                &CurPolicy,
+                Scope::Cluster,
+                &mut self.rr_cursor,
+                &mut self.fit,
+                ctx,
+            )
+            .expect("least-loaded placement cannot fail");
             plans.push(plan);
         }
         plans
@@ -242,7 +256,14 @@ impl Scheduler for PartProfile {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &PartPolicy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(
+                req,
+                &PartPolicy,
+                Scope::Cluster,
+                &mut self.rr_cursor,
+                &mut self.fit,
+                ctx,
+            ) {
                 Some(plan) => plans.push(plan),
                 None => {
                     failures += 1;
@@ -331,7 +352,14 @@ impl Scheduler for FullProfile {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &FullPolicy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(
+                req,
+                &FullPolicy,
+                Scope::Cluster,
+                &mut self.rr_cursor,
+                &mut self.fit,
+                ctx,
+            ) {
                 Some(plan) => plans.push(plan),
                 None => {
                     failures += 1;

@@ -137,12 +137,24 @@ pub enum MachinePolicy {
     LedgerEarliestFit,
 }
 
+/// Which shards a [`MachinePolicy::LedgerEarliestFit`] placement may
+/// search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope {
+    /// The request's home shard first, overflowing to the other shards in
+    /// rotation order when the home shard has no feasible window. With one
+    /// shard this is a whole-cluster scan.
+    Cluster,
+    /// The request's home shard only: a request it cannot host is
+    /// unplaceable, and nothing counts as a shard overflow.
+    HomeShard,
+}
+
 /// Per-node planning inputs a scheme provides to the builder.
 ///
 /// Budgets and grants consult only the read-only [`PlanEnv`] (profiles,
-/// catalog, network, now) — never the mutable cluster — which is what
-/// lets shard workers evaluate policies concurrently during a parallel
-/// admission pass.
+/// catalog, network, now) — never the mutable cluster — so a policy can
+/// be evaluated while the planner holds the cluster mutably.
 pub trait PlanPolicy {
     /// Execution-time budget Δt for a node.
     fn budget(
@@ -176,15 +188,17 @@ pub trait PlanPolicy {
 /// For each node the earliest feasible start is the latest parent's
 /// planned end plus the expected caller→callee communication delay; the
 /// machine policy then decides where (and for ledger policies, exactly
-/// when) the node runs. Returns `None` if any node cannot be placed within
-/// the policy's horizon — the caller decides whether to defer the request
-/// (v-MLP's "switch `r_i` with `r_{i+1}`") or force-place it.
+/// when) the node runs, searching the shards `scope` allows. Returns
+/// `None` if any node cannot be placed within the policy's horizon — the
+/// caller decides whether to defer the request (v-MLP's "switch `r_i`
+/// with `r_{i+1}`") or force-place it.
 ///
 /// On success, reservations (if any) are already written to the ledgers;
 /// [`unreserve_plan`] rolls them back.
 pub fn plan_request(
     req: &RequestInfo,
     policy: &impl PlanPolicy,
+    scope: Scope,
     rr_cursor: &mut usize,
     fit: &mut FitCursor,
     ctx: &mut SchedulerCtx<'_>,
@@ -228,9 +242,10 @@ pub fn plan_request(
             MachinePolicy::LedgerEarliestFit => {
                 // Shard-first scan: only the request's home shard is
                 // searched, unless it has no feasible window at all, in
-                // which case the scan overflows to the other shards in
-                // rotation order (cross-shard work stealing). With one
-                // shard (the default) this is exactly a whole-cluster scan.
+                // which case a `Scope::Cluster` scan overflows to the
+                // other shards in rotation order (cross-shard work
+                // stealing). With one shard (the default) this is exactly
+                // a whole-cluster scan.
                 //
                 // Within a shard, earliest start wins; among machines that
                 // can start at the same instant, prefer the one with the
@@ -241,7 +256,11 @@ pub fn plan_request(
                 let home = ctx.cluster.home_shard(req.id.0);
                 let mut best: Option<(MachineId, SimTime, f64)> = None;
                 let mut overflowed = false;
-                for shard in ctx.cluster.shard_scan_order(home) {
+                let shards = match scope {
+                    Scope::Cluster => usize::MAX,
+                    Scope::HomeShard => 1,
+                };
+                for shard in ctx.cluster.shard_scan_order(home).take(shards) {
                     for m in ctx.cluster.shard_machines(shard) {
                         if !m.is_up() {
                             continue; // crashed machines take no new plans
@@ -289,105 +308,6 @@ pub fn plan_request(
         if policy.reserve() && budget > SimDuration::ZERO {
             let end = start + budget;
             ctx.cluster.machine_mut(machine).ledger.reserve(start, end, grant);
-            reserved.push((machine, start, end, grant));
-        }
-
-        nodes[i] = Some(NodePlan {
-            machine,
-            planned_start: start,
-            budget,
-            grant,
-            reserved: policy.reserve() && budget > SimDuration::ZERO,
-        });
-    }
-
-    Some(RequestPlan {
-        request: req.id,
-        nodes: nodes.into_iter().map(|n| n.expect("all nodes planned")).collect(),
-    })
-}
-
-/// Plans `req`'s DAG against a single shard's machines — the shard-local
-/// arm of [`plan_request`], runnable on a worker thread.
-///
-/// `machines` is the shard's machine slice in ascending-id order (as
-/// produced by `Cluster::machines_by_shard_mut`). The scan, tie-break,
-/// reservation, and rollback logic are identical to `plan_request`'s
-/// home-shard pass with `MachinePolicy::LedgerEarliestFit`; the one
-/// difference is that there is **no cross-shard overflow** — a request
-/// that does not fit in its home shard returns `None` and the caller
-/// retries it sequentially at the barrier, where the whole cluster is
-/// visible again. That keeps every worker's writes confined to machines
-/// it owns, which is the entire determinism argument.
-pub fn plan_request_in_shard(
-    req: &RequestInfo,
-    policy: &impl PlanPolicy,
-    env: &PlanEnv<'_>,
-    fit: &mut FitCursor,
-    machines: &mut [&mut Machine],
-) -> Option<RequestPlan> {
-    let rtype = env.catalog.request(req.rtype);
-    let dag = &rtype.dag;
-    let order = dag.topo_order().expect("request DAGs are validated acyclic");
-    if machines.is_empty() {
-        return None;
-    }
-
-    let mut nodes: Vec<Option<NodePlan>> = vec![None; dag.len()];
-    let horizon_end = env.now + policy.horizon();
-    let mut reserved: Vec<(MachineId, SimTime, SimTime, ResourceVector)> = Vec::new();
-
-    for &i in &order {
-        let node = dag.node(i);
-        let svc = env.catalog.services.get(node.service);
-        let budget = policy.budget(i, svc, node.work_factor, env);
-        let grant = policy.grant(i, svc, env);
-
-        let mut ready = env.now;
-        for p in dag.parents_iter(i) {
-            let parent = nodes[p].as_ref().expect("topo order visits parents first");
-            let comm = env.net.expected_delay(false, svc.comm);
-            let t = parent.planned_end() + comm;
-            if t > ready {
-                ready = t;
-            }
-        }
-
-        let mut best: Option<(MachineId, SimTime, f64)> = None;
-        for m in machines.iter() {
-            if !m.is_up() {
-                continue;
-            }
-            if let Some((slot, headroom)) = fit.probe(m, ready, horizon_end, budget, grant) {
-                let better = match best {
-                    None => true,
-                    Some((_, t, h)) => slot < t || (slot == t && headroom > h),
-                };
-                if better {
-                    best = Some((m.id, slot, headroom));
-                }
-            }
-        }
-
-        let (machine, start) = match best {
-            Some((m, t, _)) => (m, t),
-            None => {
-                for (m, from, to, amt) in reserved {
-                    let idx = machines
-                        .binary_search_by_key(&m, |mm| mm.id)
-                        .expect("reserved on a shard machine");
-                    machines[idx].ledger.unreserve(from, to, amt);
-                }
-                return None;
-            }
-        };
-
-        if policy.reserve() && budget > SimDuration::ZERO {
-            let end = start + budget;
-            let idx = machines
-                .binary_search_by_key(&machine, |mm| mm.id)
-                .expect("placed on a shard machine");
-            machines[idx].ledger.reserve(start, end, grant);
             reserved.push((machine, start, end, grant));
         }
 
@@ -496,7 +416,9 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "compose-post");
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+                .unwrap();
         let dag = &cat.request_by_name("compose-post").unwrap().dag;
         assert_eq!(plan.nodes.len(), dag.len());
         assert!(plan.respects_dag(dag));
@@ -516,7 +438,9 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // 3-node chain
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+                .unwrap();
         // Child starts strictly after parent's planned end (comm gap > 0).
         let dag = &cat.request_by_name("read-user-timeline").unwrap().dag;
         for &(a, b) in dag.edges() {
@@ -544,7 +468,8 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline");
-        assert!(plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).is_none());
+        assert!(plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+            .is_none());
     }
 
     #[test]
@@ -574,7 +499,8 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "compose-post"); // wide fan-out
-        let result = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx);
+        let result =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx);
         assert!(result.is_none(), "expected unplaceable");
         // Ledgers restored exactly.
         for (m, before) in ctx.cluster.machines().iter().zip(baseline_avail) {
@@ -596,7 +522,9 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // RequestId(1) → home shard 1
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+                .unwrap();
         for np in &plan.nodes {
             assert_eq!(ctx.cluster.shard_of(np.machine), mlp_cluster::ShardId(1));
         }
@@ -626,7 +554,9 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "read-user-timeline"); // home shard 1 is saturated
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+                .unwrap();
         for np in &plan.nodes {
             assert_eq!(
                 ctx.cluster.shard_of(np.machine),
@@ -638,13 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_local_plan_matches_full_plan_bitwise() {
-        // When the home shard has room, plan_request never leaves it — so
-        // the shard-local planner (run on just that shard's machines) must
-        // produce the byte-identical plan and ledger writes.
+    fn home_shard_scope_matches_cluster_scope_when_home_fits() {
+        // When the home shard has room, a cluster-scoped plan never leaves
+        // it — so a home-shard-scoped plan must produce the byte-identical
+        // plan and ledger writes.
         let (cluster, cat, net, prof, met) = harness();
-        let mut full = cluster.clone().with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
-        let mut local = full.clone();
+        let mut full = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        let mut home = full.clone();
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
             reserve: true,
@@ -652,21 +582,14 @@ mod tests {
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
         let r = req(&cat, "read-user-timeline"); // RequestId(1) → home shard 1
-
-        let mut ctx = ctx!(full, cat, net, prof, met);
-        let mut cursor = 0;
-        let reference = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
-
-        let home = local.home_shard(r.id.0).0 as usize;
-        let env = PlanEnv { now: SimTime::ZERO, profiles: &prof, catalog: &cat, net: &net };
-        let mut by_shard = local.machines_by_shard_mut();
-        let shard_plan =
-            plan_request_in_shard(&r, &p, &env, &mut FitCursor::new(), &mut by_shard[home])
-                .unwrap();
-        drop(by_shard);
-
-        assert_eq!(shard_plan, reference);
-        for (a, b) in full.machines().iter().zip(local.machines()) {
+        let mut plans = Vec::new();
+        for (cluster, scope) in [(&mut full, Scope::Cluster), (&mut home, Scope::HomeShard)] {
+            let mut ctx = ctx!(*cluster, cat, net, prof, met);
+            plans.push(plan_request(&r, &p, scope, &mut 0, &mut FitCursor::new(), &mut ctx));
+        }
+        assert!(plans[0].is_some());
+        assert_eq!(plans[0], plans[1]);
+        for (a, b) in full.machines().iter().zip(home.machines()) {
             let wa = a.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
             let wb = b.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
             assert_eq!(wa, wb, "ledger divergence on {:?}", a.id);
@@ -674,11 +597,11 @@ mod tests {
     }
 
     #[test]
-    fn shard_local_plan_rolls_back_on_failure() {
-        let (cluster, cat, net, prof, _met) = harness();
-        let mut local = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
-        // Saturate shard 1 (odd ids) so the shard-local pass must fail.
-        for m in local.machines_mut() {
+    fn home_shard_scope_fails_without_overflow_and_rolls_back() {
+        let (cluster, cat, net, prof, met) = harness();
+        let mut cluster = cluster.with_shards(2, mlp_cluster::ShardPolicy::RoundRobin);
+        // Saturate shard 1 (odd ids) so the home-shard scan must fail.
+        for m in cluster.machines_mut() {
             if m.id.0 % 2 == 1 {
                 m.ledger.reserve(
                     SimTime::ZERO,
@@ -687,11 +610,12 @@ mod tests {
                 );
             }
         }
-        let baseline: Vec<ResourceVector> = local
+        let baseline: Vec<ResourceVector> = cluster
             .machines()
             .iter()
             .map(|m| m.ledger.available(SimTime::ZERO, SimTime::from_secs(30)))
             .collect();
+        let mut ctx = ctx!(cluster, cat, net, prof, met);
         let p = TestPolicy {
             policy: MachinePolicy::LedgerEarliestFit,
             reserve: true,
@@ -699,13 +623,10 @@ mod tests {
             grant: ResourceVector::new(1.0, 100.0, 10.0),
         };
         let r = req(&cat, "read-user-timeline");
-        let home = local.home_shard(r.id.0).0 as usize;
-        let env = PlanEnv { now: SimTime::ZERO, profiles: &prof, catalog: &cat, net: &net };
-        let mut by_shard = local.machines_by_shard_mut();
-        assert!(plan_request_in_shard(&r, &p, &env, &mut FitCursor::new(), &mut by_shard[home])
-            .is_none());
-        drop(by_shard);
-        for (m, before) in local.machines().iter().zip(baseline) {
+        let plan = plan_request(&r, &p, Scope::HomeShard, &mut 0, &mut FitCursor::new(), &mut ctx);
+        assert!(plan.is_none(), "shard 0 has room but is out of scope");
+        assert_eq!(met.counter(mlp_trace::metrics::names::SHARD_OVERFLOWS), 0);
+        for (m, before) in ctx.cluster.machines().iter().zip(baseline) {
             let after = m.ledger.available(SimTime::ZERO, SimTime::from_secs(30));
             assert_eq!(after, before, "machine {:?} not rolled back", m.id);
         }
@@ -723,7 +644,9 @@ mod tests {
         };
         let mut cursor = 0;
         let r = req(&cat, "basicSearch");
-        let plan = plan_request(&r, &p, &mut cursor, &mut FitCursor::new(), &mut ctx).unwrap();
+        let plan =
+            plan_request(&r, &p, Scope::Cluster, &mut cursor, &mut FitCursor::new(), &mut ctx)
+                .unwrap();
         unreserve_plan(&plan, &mut ctx);
         for m in ctx.cluster.machines() {
             let avail = m.ledger.available(SimTime::ZERO, SimTime::from_secs(10));

@@ -8,11 +8,9 @@ use mlp_sim::{SimDuration, SimTime};
 use mlp_trace::{AuditLog, MetricsRegistry, ProfileStore, RequestId, Span};
 
 /// The read-only planning environment: everything per-node budget/grant
-/// estimation consults. Split out of [`SchedulerCtx`] so planning can run
-/// on shard workers that hold only *their shard's* machines — the full
-/// ctx owns `&mut Cluster` and cannot cross a thread boundary in pieces.
-/// All fields are shared references to `Sync` data, so a `PlanEnv` is
-/// `Copy + Send + Sync` and one value can serve every worker of a tick.
+/// estimation consults. A borrow split of [`SchedulerCtx`]: the env holds
+/// copies of the ctx's shared references, so a planner can let policies
+/// read through it while it writes reservations through `ctx.cluster`.
 #[derive(Clone, Copy)]
 pub struct PlanEnv<'a> {
     /// Current simulation time.
@@ -171,11 +169,9 @@ pub trait Scheduler {
     /// Admission pass: place whichever waiting requests the scheme can.
     fn schedule(&mut self, ctx: &mut SchedulerCtx<'_>) -> Vec<RequestPlan>;
 
-    /// Admission pass with a shard worker pool available. Schemes that
-    /// partition their work by shard override this to fan placement out
-    /// over the pool (with effects merged back in shard-index order so
-    /// results are identical at any worker count); the default ignores
-    /// the pool and runs the sequential [`schedule`](Scheduler::schedule).
+    /// Forwards to [`schedule`](Scheduler::schedule). The engine calls
+    /// `schedule` directly; this default exists only for wrappers that
+    /// still name this signature (see [`ShardPool`]).
     fn schedule_parallel(
         &mut self,
         ctx: &mut SchedulerCtx<'_>,

@@ -18,7 +18,7 @@
 //! identical audit trail.
 
 use crate::baselines::MAX_ADMIT_TRIES_PER_ROUND;
-use crate::placement::{plan_request, unreserve_plan, FitCursor, MachinePolicy, PlanPolicy};
+use crate::placement::{plan_request, unreserve_plan, FitCursor, MachinePolicy, PlanPolicy, Scope};
 use crate::plan::{NodePlan, RequestInfo, RequestPlan};
 use crate::scheduler::{PlanEnv, Scheduler, SchedulerCtx};
 use mlp_cluster::{Machine, MachineId};
@@ -337,7 +337,14 @@ impl Scheduler for SearchSched {
                 deferred.extend_from_slice(&pending[i..]);
                 break;
             }
-            match plan_request(req, &policy, &mut self.rr_cursor, &mut self.fit, ctx) {
+            match plan_request(
+                req,
+                &policy,
+                Scope::Cluster,
+                &mut self.rr_cursor,
+                &mut self.fit,
+                ctx,
+            ) {
                 Some(greedy) => {
                     let plan = if refined < self.cfg.round_budget {
                         refined += 1;

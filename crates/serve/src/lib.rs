@@ -419,7 +419,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     let mut line = String::new();
     let mut mode: Option<Mode> = None;
     loop {
-        line.clear();
         match reader.read_line(&mut line) {
             Ok(0) => return Ok(()), // peer closed
             Ok(_) => {}
@@ -427,7 +426,9 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // Idle keep-alive connection: close it once draining so
-                // the worker can exit; otherwise keep listening.
+                // the worker can exit; otherwise keep listening. `line`
+                // keeps any bytes read before the timeout, so a line
+                // split by a pause resumes where it stopped.
                 if shared.shutdown.load(Ordering::Relaxed) {
                     return Ok(());
                 }
@@ -448,6 +449,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
         if !keep_open {
             return Ok(());
         }
+        line.clear();
     }
 }
 
@@ -607,6 +609,23 @@ mod tests {
 
         let out = server.stop();
         assert_eq!(out.arrived, 1);
+    }
+
+    #[test]
+    fn line_split_by_a_read_timeout_is_reassembled() {
+        let server = smoke_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.write_all(b"PI").unwrap();
+        // Outlast the server's read timeout so the read returns mid-line.
+        std::thread::sleep(READ_TIMEOUT + Duration::from_millis(100));
+        stream.write_all(b"NG\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&stream).read_line(&mut reply).unwrap();
+        assert_eq!(client::parse_response(reply.trim_end()), Response::Pong, "{reply:?}");
+        drop(stream);
+        server.stop();
     }
 
     #[test]
