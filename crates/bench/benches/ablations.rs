@@ -6,33 +6,27 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlp_bench::Scale;
-use mlp_core::organizer::DtPolicy;
-use mlp_core::VMlpConfig;
 use mlp_engine::experiment::Experiment;
-use mlp_engine::scheme::Scheme;
 
-/// The ablated configurations, labeled.
-pub fn variants() -> Vec<(&'static str, VMlpConfig)> {
-    let full = VMlpConfig::paper();
-    vec![
-        ("full", full),
-        ("no_healing", VMlpConfig::without_healing()),
-        ("no_delay_slot", VMlpConfig { delay_slot: false, ..full }),
-        ("no_stretch", VMlpConfig { resource_stretch: false, ..full }),
-        ("no_reorder", VMlpConfig { reorder: false, ..full }),
-        ("no_queue_switch", VMlpConfig { queue_switch: false, ..full }),
-        ("no_trim", VMlpConfig { trim_reservations: false, ..full }),
-        ("dt_always_mean", VMlpConfig { dt_policy: DtPolicy::AlwaysMean, ..full }),
-        ("dt_always_p99", VMlpConfig { dt_policy: DtPolicy::AlwaysP99, ..full }),
-    ]
-}
+/// The ablated configurations as labeled scheme specs.
+pub const VARIANTS: [(&str, &str); 9] = [
+    ("full", "vmlp"),
+    ("no_healing", "vmlp:healing=off"),
+    ("no_delay_slot", "vmlp:delay_slot=off"),
+    ("no_stretch", "vmlp:resource_stretch=off"),
+    ("no_reorder", "vmlp:reorder=off"),
+    ("no_queue_switch", "vmlp:queue_switch=off"),
+    ("no_trim", "vmlp:trim_reservations=off"),
+    ("dt_always_mean", "vmlp:dt_policy=always-mean"),
+    ("dt_always_p99", "vmlp:dt_policy=always-p99"),
+];
 
 fn bench_ablations(c: &mut Criterion) {
     let mut g = c.benchmark_group("vmlp_ablations");
     g.sample_size(10);
-    for (name, cfg) in variants() {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &cfg, |b, &cfg| {
-            let ec = Scale::tiny().config(Scheme::VMlpCustom(cfg));
+    for (name, spec) in VARIANTS {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &spec, |b, &spec| {
+            let ec = Scale::tiny().config(spec);
             b.iter(|| Experiment::from_config(ec.clone()).run().unwrap());
         });
     }

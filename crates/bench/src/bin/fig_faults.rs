@@ -13,9 +13,7 @@ fn main() {
     if let Some(path) = mlp_bench::audit_from_args() {
         // Audited companion run: v-MLP riding out the same storm, so the
         // trail captures crash-replans, sheds, and retries.
-        let cfg = scale
-            .config(mlp_engine::scheme::Scheme::VMlp)
-            .with_faults(mlp_bench::fig_faults::storm_for(&scale));
+        let cfg = scale.config("vmlp").with_faults(mlp_bench::fig_faults::storm_for(&scale));
         mlp_bench::audit_run(cfg, &path);
     }
 }

@@ -17,8 +17,8 @@ use mlp_cluster::ledger::query_stats::{self, LedgerQueryStats};
 use mlp_cluster::{NaiveLedger, ResourceLedger};
 use mlp_engine::config::MixSpec;
 use mlp_engine::experiment::Experiment;
+use mlp_engine::registry::PAPER_SCHEMES;
 use mlp_engine::runner::ExperimentResult;
-use mlp_engine::scheme::Scheme;
 use mlp_model::{RequestCatalog, ResourceVector};
 use mlp_sim::{SimDuration, SimRng, SimTime};
 use rand::Rng;
@@ -137,7 +137,7 @@ fn main() {
     query_stats::set_enabled(true);
     let total_start = Instant::now();
     let mut schemes = Vec::new();
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         let cfg = scale
             .config(scheme)
             .with_pattern(mlp_workload::WorkloadPattern::Constant)

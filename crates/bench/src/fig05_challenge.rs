@@ -1,13 +1,13 @@
 //! Fig 5 — the design challenge: mispredicted end times and late messages
 //! derail naive schedules into contention.
 
+use mlp_engine::registry::PAPER_SCHEMES;
 use mlp_engine::report;
 use mlp_engine::scenario::run_challenge;
-use mlp_engine::scheme::Scheme;
 
 /// Renders the challenge outcomes for every scheme.
 pub fn report(seed: u64) -> String {
-    let rows: Vec<Vec<String>> = Scheme::PAPER
+    let rows: Vec<Vec<String>> = PAPER_SCHEMES
         .into_iter()
         .map(|s| {
             let o = run_challenge(s, seed);

@@ -7,8 +7,8 @@
 use crate::evalrun::{run_cells, Cell};
 use crate::scale::Scale;
 use mlp_engine::config::MixSpec;
+use mlp_engine::registry::PAPER_SCHEMES;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_model::VolatilityClass;
 use mlp_workload::WorkloadPattern;
 
@@ -31,7 +31,7 @@ pub fn data(scale: Scale, seed: u64) -> Fig10Data {
     let mut cells = Vec::new();
     for pattern in WorkloadPattern::PAPER {
         for class in CLASSES {
-            for scheme in Scheme::PAPER {
+            for scheme in PAPER_SCHEMES {
                 cells.push(Cell {
                     scheme: scheme.into(),
                     pattern,
@@ -45,7 +45,7 @@ pub fn data(scale: Scale, seed: u64) -> Fig10Data {
 
     let mut raw = Vec::new();
     let mut normalized = Vec::new();
-    let mut it = results.chunks(Scheme::PAPER.len());
+    let mut it = results.chunks(PAPER_SCHEMES.len());
     for _pattern in WorkloadPattern::PAPER {
         let mut raw_p = Vec::new();
         let mut norm_p = Vec::new();
@@ -72,8 +72,7 @@ pub fn report(scale: Scale, seed: u64) -> String {
             .enumerate()
             .map(|(ci, class)| {
                 let mut row = vec![format!("{class:?} V_r")];
-                for (si, scheme) in Scheme::PAPER.iter().enumerate() {
-                    let _ = scheme;
+                for si in 0..PAPER_SCHEMES.len() {
                     row.push(format!(
                         "{} ({:.1}%)",
                         report::f(d.normalized[pi][ci][si]),
@@ -108,13 +107,13 @@ mod tests {
     fn simple_schedulers_violate_more_on_high_vr() {
         let cells = [
             Cell {
-                scheme: Scheme::FairSched.into(),
+                scheme: "fairsched".into(),
                 pattern: WorkloadPattern::L1Pulse,
                 mix: MixSpec::SingleClass(VolatilityClass::High),
                 rate_mult: 1.0,
             },
             Cell {
-                scheme: Scheme::VMlp.into(),
+                scheme: "vmlp".into(),
                 pattern: WorkloadPattern::L1Pulse,
                 mix: MixSpec::SingleClass(VolatilityClass::High),
                 rate_mult: 1.0,

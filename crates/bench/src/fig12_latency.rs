@@ -7,8 +7,8 @@
 
 use crate::evalrun::{run_cells, Cell};
 use crate::scale::Scale;
+use mlp_engine::registry::PAPER_SCHEMES;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_workload::WorkloadPattern;
 
 /// Workload levels as fractions of the scale's peak rate.
@@ -20,7 +20,7 @@ pub fn data(scale: Scale, seed: u64) -> Vec<Vec<(String, [f64; 3])>> {
     let cells: Vec<Cell> = LEVELS
         .iter()
         .flat_map(|&level| {
-            Scheme::PAPER.into_iter().map(move |scheme| Cell {
+            PAPER_SCHEMES.into_iter().map(move |scheme| Cell {
                 pattern: WorkloadPattern::Constant,
                 rate_mult: level,
                 ..Cell::new(scheme)
@@ -28,7 +28,7 @@ pub fn data(scale: Scale, seed: u64) -> Vec<Vec<(String, [f64; 3])>> {
         })
         .collect();
     run_cells(scale, &cells, seed)
-        .chunks(Scheme::PAPER.len())
+        .chunks(PAPER_SCHEMES.len())
         .map(|chunk| chunk.iter().map(|r| (r.scheme.clone(), r.latency_ms)).collect())
         .collect()
 }

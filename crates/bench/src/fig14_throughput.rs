@@ -15,8 +15,8 @@ use crate::evalrun::{run_cells, Cell};
 use crate::loads::rate_factor;
 use crate::scale::Scale;
 use mlp_engine::config::MixSpec;
+use mlp_engine::registry::PAPER_SCHEMES;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
 use mlp_model::RequestCatalog;
 use mlp_workload::WorkloadPattern;
@@ -36,7 +36,7 @@ pub const OVERDRIVE: f64 = 0.8;
 
 /// The default scheme columns: the paper's five schemes, figure order.
 pub fn default_sweep() -> SweepConfig {
-    SweepConfig::new(Scheme::PAPER.iter().map(|s| s.spec()).collect())
+    SweepConfig::new(PAPER_SCHEMES.map(Into::into).to_vec())
 }
 
 /// Index of the normalization anchor inside a sweep: the unablated
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn vmlp_column_is_unit() {
         let cells = [Cell {
-            scheme: Scheme::VMlp.into(),
+            scheme: "vmlp".into(),
             pattern: WorkloadPattern::Constant,
             mix: MixSpec::HighRatio(0.5),
             rate_mult: OVERDRIVE,

@@ -19,7 +19,6 @@ use mlp_engine::config::ExperimentConfig;
 use mlp_engine::experiment::Experiment;
 use mlp_engine::registry::SchemeSpec;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
 use mlp_sched::{OverloadConfig, RetryBudget};
 use mlp_workload::patterns::WorkloadPattern;
@@ -33,7 +32,7 @@ pub const MULTIPLIERS: [f64; 4] = [1.0, 2.0, 3.0, 5.0];
 /// scheme additionally runs behind the resilience stack, so the default
 /// reproduces the historical four arms exactly.
 pub fn default_sweep() -> SweepConfig {
-    SweepConfig::new(vec![Scheme::CurSched.spec(), Scheme::FullProfile.spec(), Scheme::VMlp.spec()])
+    SweepConfig::new(vec!["cursched".into(), "fullprofile".into(), "vmlp".into()])
 }
 
 /// The goodput-retention acceptance gate: resilient v-MLP at
@@ -297,7 +296,7 @@ mod tests {
     #[test]
     fn tiny_resilient_surge_sheds_and_stays_clean() {
         let scale = Scale::tiny();
-        let p = data_point(&scale, Scheme::VMlp, 3.0, true, 7);
+        let p = data_point(&scale, "vmlp", 3.0, true, 7);
         assert_eq!(p.invariant_violations, 0, "auditor must stay clean");
         assert_eq!(p.arrived, p.completed + p.unfinished, "request conservation with shedding");
         assert!(p.shed_requests > 0, "a 3× surge must trip the admission gate");
@@ -310,7 +309,7 @@ mod tests {
     #[test]
     fn tiny_surge_only_never_sheds() {
         let scale = Scale::tiny();
-        let p = data_point(&scale, Scheme::VMlp, 3.0, false, 7);
+        let p = data_point(&scale, "vmlp", 3.0, false, 7);
         assert_eq!(p.shed_requests, 0);
         assert_eq!(p.branch_sheds, 0);
         assert_eq!(p.retries_denied, 0);

@@ -17,7 +17,6 @@ use mlp_engine::config::ExperimentConfig;
 use mlp_engine::experiment::Experiment;
 use mlp_engine::registry::SchemeSpec;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
 use mlp_workload::patterns::WorkloadPattern;
 use serde::Serialize;
@@ -39,11 +38,11 @@ pub const RATE_PER_MACHINE: f64 = 5.0;
 /// Schemes soaked: today's non-profiling baseline, the full-profiling
 /// baseline, and the paper's contribution (the default sweep;
 /// `sweeps/soak.json` commits the same list).
-pub const SCHEMES: [Scheme; 3] = [Scheme::CurSched, Scheme::FullProfile, Scheme::VMlp];
+pub const SCHEMES: [&str; 3] = ["cursched", "fullprofile", "vmlp"];
 
 /// The default soak sweep as a [`SweepConfig`].
 pub fn default_sweep() -> SweepConfig {
-    SweepConfig::new(SCHEMES.iter().map(|s| s.spec()).collect())
+    SweepConfig::new(SCHEMES.map(Into::into).to_vec())
 }
 
 /// Open-loop arrivals pulled per scheme at a given scale. Paper scale is
@@ -262,7 +261,7 @@ mod tests {
     /// table plateaus far below total arrivals.
     #[test]
     fn mini_soak_is_clean_and_memory_bounded() {
-        let p = data_point(Scheme::VMlp, 3_000, 7);
+        let p = data_point("vmlp", 3_000, 7);
         assert!(p.arrived >= 3_000, "request cap never bound: {} arrivals", p.arrived);
         assert_eq!(p.invariant_violations, 0, "auditor must stay clean");
         assert!(p.completed > 0);

@@ -23,9 +23,8 @@ use crate::loads::rate_factor;
 use crate::scale::Scale;
 use mlp_engine::config::{ExperimentConfig, MixSpec};
 use mlp_engine::experiment::Experiment;
-use mlp_engine::registry::SchemeSpec;
+use mlp_engine::registry::{SchemeSpec, PAPER_SCHEMES};
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_engine::sweep::SweepConfig;
 use mlp_model::RequestCatalog;
 use mlp_workload::patterns::WorkloadPattern;
@@ -34,9 +33,9 @@ use serde::Serialize;
 /// The default zoo: the five paper schemes, the healing-off ablation,
 /// and the local-search contender.
 pub fn default_sweep() -> SweepConfig {
-    let mut schemes: Vec<SchemeSpec> = Scheme::PAPER.iter().map(|s| s.spec()).collect();
-    schemes.push(SchemeSpec::parse("vmlp:healing=off").expect("static spec parses"));
-    schemes.push(SchemeSpec::named("searchsched"));
+    let mut schemes: Vec<SchemeSpec> = PAPER_SCHEMES.map(Into::into).to_vec();
+    schemes.push("vmlp:healing=off".into());
+    schemes.push("searchsched".into());
     SweepConfig::new(schemes)
 }
 

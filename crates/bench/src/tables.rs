@@ -4,7 +4,6 @@
 use mlp_cluster::ControllerTool;
 use mlp_core::parallelism::ParallelismLevel;
 use mlp_engine::report;
-use mlp_engine::scheme::Scheme;
 use mlp_model::{RequestCatalog, ResourceKind};
 
 /// Table I — ILP vs TLP vs MLP vs RLP.
@@ -86,21 +85,15 @@ pub fn table5() -> String {
 
 /// Table VI — evaluated scheduling schemes.
 pub fn table6() -> String {
-    let desc = |s: Scheme| match s {
-        Scheme::FairSched => ("Simple", "FCFS, allocate equal resource"),
-        Scheme::CurSched => ("Simple", "FCFS, allocate by current load"),
-        Scheme::PartProfile => ("Advanced", "Prior., allocate by performance profile"),
-        Scheme::FullProfile => ("Advanced", "Prior., allocate by overall profile"),
-        Scheme::VMlp => ("MLP Scheme", "Our proposal (v-MLP)"),
-        Scheme::VMlpCustom(_) => ("MLP Scheme", "ablated v-MLP"),
-    };
-    let rows: Vec<Vec<String>> = Scheme::PAPER
-        .into_iter()
-        .map(|s| {
-            let (cat, d) = desc(s);
-            vec![cat.to_string(), s.label().to_string(), d.to_string()]
-        })
-        .collect();
+    const ROWS: [[&str; 3]; 5] = [
+        ["Simple", "FairSched", "FCFS, allocate equal resource"],
+        ["Simple", "CurSched", "FCFS, allocate by current load"],
+        ["Advanced", "PartProfile", "Prior., allocate by performance profile"],
+        ["Advanced", "FullProfile", "Prior., allocate by overall profile"],
+        ["MLP Scheme", "v-MLP", "Our proposal (v-MLP)"],
+    ];
+    let rows: Vec<Vec<String>> =
+        ROWS.iter().map(|row| row.iter().map(|c| c.to_string()).collect()).collect();
     report::table("Table VI — evaluated schemes", &["category", "scheme", "description"], &rows)
 }
 

@@ -35,9 +35,8 @@ impl MixSpec {
 /// Full description of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentConfig {
-    /// Scheduling scheme under test, by registry spec. Accepts the legacy
-    /// `Scheme` enum values via `Into`, spec strings (`"vmlp:healing=off"`),
-    /// and explicit [`SchemeSpec`]s.
+    /// Scheduling scheme under test, by registry spec. Constructors accept
+    /// spec strings (`"vmlp:healing=off"`) and explicit [`SchemeSpec`]s.
     pub scheme: SchemeSpec,
     /// Number of machines (the paper simulates 100).
     pub machines: usize,
@@ -107,11 +106,11 @@ pub struct ExperimentConfig {
     /// still pass the invariant auditor.
     #[serde(default)]
     pub ledger_retention_s: f64,
-    /// Open-loop request-count cap: `Some(n)` makes the experiment pull
-    /// arrivals lazily from an [`OpenLoopSource`] until `n` requests (or
-    /// the horizon, whichever first) instead of materializing the trace.
-    /// `None` (the default) keeps the dense `generate_stream` path,
-    /// byte-identical to earlier builds.
+    /// Open-loop request-count cap: `Some(n)` stops the experiment's lazy
+    /// [`OpenLoopSource`] after `n` requests (or at the horizon, whichever
+    /// comes first). `None` (the default) runs to the horizon. Either way
+    /// the arrival stream is the one `generate_stream` would produce, so
+    /// a cap only truncates it.
     ///
     /// [`OpenLoopSource`]: mlp_workload::OpenLoopSource
     #[serde(default)]
@@ -310,8 +309,8 @@ impl ExperimentConfig {
         self
     }
 
-    /// Caps the run at `n` open-loop requests (switches the experiment to
-    /// the lazy arrival source; see [`Self::max_requests`]).
+    /// Caps the run at `n` open-loop requests (see
+    /// [`Self::max_requests`]).
     pub fn with_max_requests(mut self, n: u64) -> Self {
         self.max_requests = Some(n);
         self
@@ -357,12 +356,11 @@ impl ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
     use mlp_model::RequestCatalog;
 
     #[test]
     fn paper_default_matches_section5() {
-        let c = ExperimentConfig::paper_default(Scheme::VMlp);
+        let c = ExperimentConfig::paper_default("vmlp");
         assert_eq!(c.machines, 100);
         assert_eq!(c.max_rate, 1000.0);
         assert_eq!(c.horizon_s, 100.0);
@@ -370,7 +368,7 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = ExperimentConfig::small(Scheme::FairSched)
+        let c = ExperimentConfig::small("fairsched")
             .with_pattern(WorkloadPattern::L3PeriodicWide)
             .with_seed(7)
             .with_rate(120.0)
@@ -396,7 +394,7 @@ mod tests {
 
     #[test]
     fn two_tier_cluster_built_from_config() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp).with_small_tier(3, 0.5);
+        let c = ExperimentConfig::smoke("vmlp").with_small_tier(3, 0.5);
         let cluster = c.build_cluster();
         assert_eq!(cluster.len(), 8);
         let big = cluster.machine(mlp_cluster::MachineId(0)).capacity;
@@ -406,7 +404,7 @@ mod tests {
 
     #[test]
     fn config_serializes() {
-        let c = ExperimentConfig::smoke(Scheme::PartProfile);
+        let c = ExperimentConfig::smoke("partprofile");
         let js = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
         assert_eq!(back, c);
@@ -414,7 +412,7 @@ mod tests {
 
     #[test]
     fn configs_predating_audit_and_fault_fields_still_load() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp);
+        let c = ExperimentConfig::smoke("vmlp");
         let serde_json::Value::Object(entries) = serde_json::to_value(&c).unwrap() else {
             panic!("config serializes to an object")
         };
@@ -473,7 +471,7 @@ mod tests {
 
     #[test]
     fn sharded_config_roundtrips_and_builds_partitioned_cluster() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp).with_shards(4, ShardPolicy::CapacityBalanced);
+        let c = ExperimentConfig::smoke("vmlp").with_shards(4, ShardPolicy::CapacityBalanced);
         let js = serde_json::to_string(&c).unwrap();
         let back: ExperimentConfig = serde_json::from_str(&js).unwrap();
         assert_eq!(back, c);
@@ -481,8 +479,8 @@ mod tests {
         assert_eq!(cluster.shard_count(), 4);
         assert!(cluster.shards().check_partition(cluster.machines()).is_ok());
         // Defaults build a single shard, and shards is clamped to machines.
-        assert_eq!(ExperimentConfig::smoke(Scheme::VMlp).build_cluster().shard_count(), 1);
-        let over = ExperimentConfig::smoke(Scheme::VMlp)
+        assert_eq!(ExperimentConfig::smoke("vmlp").build_cluster().shard_count(), 1);
+        let over = ExperimentConfig::smoke("vmlp")
             .with_shards(1000, ShardPolicy::RoundRobin)
             .build_cluster();
         assert_eq!(over.shard_count(), 8, "clamped to the machine count");
@@ -490,7 +488,7 @@ mod tests {
 
     #[test]
     fn faults_default_disabled_and_roundtrip() {
-        let c = ExperimentConfig::smoke(Scheme::VMlp);
+        let c = ExperimentConfig::smoke("vmlp");
         assert!(!c.faults.is_active());
         let stormy = c.with_faults(FaultConfig::storm());
         assert!(stormy.faults.is_active());

@@ -7,9 +7,9 @@
 //! up front and returns a typed [`Error`] instead of panicking:
 //!
 //! ```
-//! use mlp_engine::{Experiment, ExperimentConfig, Scheme};
+//! use mlp_engine::{Experiment, ExperimentConfig};
 //!
-//! let result = Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+//! let result = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
 //!     .audit(true)
 //!     .run()
 //!     .expect("smoke config is valid");
@@ -19,16 +19,12 @@
 use crate::config::ExperimentConfig;
 use crate::error::Error;
 use crate::profiling::warm_profiles;
-use crate::registry::{
-    default_registry, ParamValue, SchedulerParams, SchedulerRegistry, SchemeSpec,
-};
+use crate::registry::{default_registry, SchedulerParams, SchedulerRegistry, SchemeSpec};
 use crate::runner::{summarize, ExperimentResult};
 use crate::sim::{simulate, SimOutput};
 use mlp_model::RequestCatalog;
 use mlp_sim::SimRng;
-use mlp_workload::{
-    generate_stream, validate_stream_params, OpenLoopSource, RateSchedule, SliceSource,
-};
+use mlp_workload::{OpenLoopSource, RateSchedule, WorkloadError};
 use std::path::Path;
 
 /// A fully described, not-yet-run experiment.
@@ -115,24 +111,6 @@ impl<'a> Experiment<'a> {
     /// decision-audit trails (and results) are identical.
     pub fn unindexed_dt(mut self, force: bool) -> Self {
         self.unindexed_dt = force;
-        self
-    }
-
-    /// Testing hook: keeps the v-MLP waiting queue on the sort-based
-    /// reference path instead of the incremental reorder index. No-op for
-    /// the non-v-MLP schemes (they have no reorder queue). Equivalence
-    /// tests run the same config both ways and assert the decision-audit
-    /// trails (and results) are identical.
-    pub fn unindexed_reorder(mut self, force: bool) -> Self {
-        if self.config.scheme.name() == "vmlp" {
-            let params = self
-                .config
-                .scheme
-                .params()
-                .clone()
-                .with("unindexed_reorder", ParamValue::Bool(force));
-            self.config.scheme = SchemeSpec::with_params("vmlp", params);
-        }
         self
     }
 
@@ -260,7 +238,7 @@ impl<'a> Experiment<'a> {
         };
 
         let root = SimRng::new(config.seed);
-        let mut arrival_rng = root.fork(0);
+        let arrival_rng = root.fork(0);
         let mut sim_rng = root.fork(1);
         let mut warm_rng = root.fork(2);
 
@@ -272,24 +250,17 @@ impl<'a> Experiment<'a> {
         if self.unindexed_dt {
             profiles.set_unindexed(true);
         }
+        // One lazy arrival source. A steady schedule draws the identical
+        // RNG sequence as `generate_stream`, so every run sees the same
+        // stream the dense trace would hold; a surge swaps in the
+        // flash-crowd schedule, and a request cap truncates either. Its
+        // constructor runs the typed workload-parameter check, which needs
+        // the resolved mix and so cannot run in `validate()`.
         let mix = config.mix.resolve(catalog);
-        // The typed workload-parameter check needs the resolved mix, so it
-        // runs here rather than in `validate()`; it still fires before any
-        // arrival is generated.
-        validate_stream_params(config.max_rate, &mix)
-            .map_err(|e| Error::InvalidConfig(format!("workload: {e}")))?;
-        let mut scheduler = registry.build(&config.scheme, config.seed)?;
-
-        // Three arrival paths. The first two share the identical RNG draw
-        // sequence: the dense trace replayed through a SliceSource (figure
-        // runs, byte-identical to the historical slice engine), or a lazy
-        // OpenLoopSource when a request cap asks for bounded-memory
-        // open-loop traffic. The third drives a flash-crowd rate schedule
-        // when the overload config asks for a surge.
-        let surging = config.overload.enabled && config.overload.surge_multiplier > 1.0;
-        let out = if surging {
-            let o = config.overload;
-            let schedule = RateSchedule::flash_crowd(
+        let workload_err = |e: WorkloadError| Error::InvalidConfig(format!("workload: {e}"));
+        let o = config.overload;
+        let schedule = if o.enabled && o.surge_multiplier > 1.0 {
+            RateSchedule::flash_crowd(
                 config.pattern,
                 config.max_rate,
                 o.surge_start_s,
@@ -297,54 +268,18 @@ impl<'a> Experiment<'a> {
                 o.surge_multiplier,
                 o.surge_ramp_s,
             )
-            .map_err(|e| Error::InvalidConfig(format!("overload schedule: {e}")))?;
-            let mut source =
-                OpenLoopSource::scheduled(schedule, config.horizon_s, mix, arrival_rng)
-                    .map_err(|e| Error::InvalidConfig(format!("overload source: {e}")))?;
-            if let Some(cap) = config.max_requests {
-                source = source.with_max_requests(cap);
-            }
-            simulate(&config, catalog, profiles, &mut source, scheduler.as_mut(), &mut sim_rng)
         } else {
-            match config.max_requests {
-                None => {
-                    let arrivals = generate_stream(
-                        config.pattern,
-                        config.max_rate,
-                        config.horizon_s,
-                        &mix,
-                        &mut arrival_rng,
-                    );
-                    let mut source = SliceSource::new(&arrivals);
-                    simulate(
-                        &config,
-                        catalog,
-                        profiles,
-                        &mut source,
-                        scheduler.as_mut(),
-                        &mut sim_rng,
-                    )
-                }
-                Some(cap) => {
-                    let mut source = OpenLoopSource::poisson(
-                        config.pattern,
-                        config.max_rate,
-                        config.horizon_s,
-                        mix,
-                        arrival_rng,
-                    )
-                    .with_max_requests(cap);
-                    simulate(
-                        &config,
-                        catalog,
-                        profiles,
-                        &mut source,
-                        scheduler.as_mut(),
-                        &mut sim_rng,
-                    )
-                }
-            }
-        };
+            RateSchedule::steady(config.pattern, config.max_rate)
+        }
+        .map_err(workload_err)?;
+        let mut source = OpenLoopSource::scheduled(schedule, config.horizon_s, mix, arrival_rng)
+            .map_err(workload_err)?;
+        if let Some(cap) = config.max_requests {
+            source = source.with_max_requests(cap);
+        }
+        let mut scheduler = registry.build(&config.scheme, config.seed)?;
+        let out =
+            simulate(&config, catalog, profiles, &mut source, scheduler.as_mut(), &mut sim_rng);
         let result = summarize(&config, catalog, &out);
         Ok((result, out))
     }
@@ -354,11 +289,10 @@ impl<'a> Experiment<'a> {
 mod tests {
     use super::*;
     use crate::config::MixSpec;
-    use crate::scheme::Scheme;
 
     #[test]
     fn builder_runs_and_matches_direct_pipeline() {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(11);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(11);
         let catalog = RequestCatalog::paper();
         let a = Experiment::from_config(cfg.clone()).catalog(&catalog).run().unwrap();
         let b = Experiment::from_config(cfg).run().unwrap();
@@ -369,7 +303,7 @@ mod tests {
 
     #[test]
     fn setters_override_config_flags() {
-        let e = Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+        let e = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
             .audit(true)
             .auditor(false)
             .shards(2, mlp_cluster::ShardPolicy::CapacityBalanced);
@@ -383,7 +317,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected_before_running() {
-        let base = ExperimentConfig::smoke(Scheme::VMlp);
+        let base = ExperimentConfig::smoke("vmlp");
         let cases: Vec<(ExperimentConfig, &str)> = vec![
             (ExperimentConfig { machines: 0, ..base.clone() }, "machines"),
             (ExperimentConfig { max_rate: 0.0, ..base.clone() }, "max_rate"),
@@ -422,7 +356,7 @@ mod tests {
     fn config_file_roundtrip_and_failure_modes() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("vmlp-exp-cfg-{}.json", std::process::id()));
-        let cfg = ExperimentConfig::smoke(Scheme::CurSched).with_seed(3);
+        let cfg = ExperimentConfig::smoke("cursched").with_seed(3);
         std::fs::write(&path, serde_json::to_string_pretty(&cfg).unwrap()).unwrap();
         let loaded = Experiment::from_config_file(&path).unwrap();
         assert_eq!(*loaded.config(), cfg);

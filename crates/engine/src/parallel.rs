@@ -69,11 +69,11 @@ pub fn run_labeled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::Scheme;
+    use crate::registry::PAPER_SCHEMES;
 
     #[test]
     fn parallel_matches_sequential() {
-        let configs: Vec<ExperimentConfig> = [Scheme::FairSched, Scheme::VMlp]
+        let configs: Vec<ExperimentConfig> = ["fairsched", "vmlp"]
             .into_iter()
             .map(|s| ExperimentConfig::smoke(s).with_seed(5))
             .collect();
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn results_preserve_input_order() {
         let configs: Vec<ExperimentConfig> =
-            Scheme::PAPER.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
+            PAPER_SCHEMES.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
         let labeled = run_labeled(&configs, 0);
         let labels: Vec<&str> = labeled.iter().map(|(l, _)| l.as_str()).collect();
         assert_eq!(labels, vec!["FairSched", "CurSched", "PartProfile", "FullProfile", "v-MLP"]);

@@ -1,22 +1,18 @@
 //! Scheduler registry: name + typed params → `Box<dyn Scheduler>`.
 //!
-//! Scheduler construction used to be a closed `Scheme` enum; adding a
-//! contender or an ablation sweep meant editing engine source. The
-//! registry replaces that with an open factory table: a [`SchemeSpec`]
-//! names a registered scheduler and carries typed, validated
-//! [`SchedulerParams`]; [`SchedulerRegistry::build`] resolves the name,
-//! rejects unknown names and unknown/ill-typed params with
-//! [`Error::InvalidConfig`] (listing the registered names), and invokes
-//! the entry's factory with a [`BuildCtx`] carrying the experiment seed.
+//! An open factory table: a [`SchemeSpec`] names a registered scheduler
+//! and carries typed, validated [`SchedulerParams`];
+//! [`SchedulerRegistry::build`] resolves the name, rejects unknown names
+//! and unknown/ill-typed params with [`Error::InvalidConfig`] (listing
+//! the registered names), and invokes the entry's factory with a
+//! [`BuildCtx`] carrying the experiment seed.
 //!
 //! Every built-in — the four Table VI baselines, v-MLP with all its
 //! ablation switches, and the local-search contender `SearchSched` — is
 //! pre-registered in [`default_registry`]. Out-of-tree schedulers
 //! register through [`SchedulerRegistry::register`] on a custom registry
 //! handed to [`Experiment::registry`](crate::Experiment::registry).
-//!
-//! The old [`Scheme`](crate::Scheme) enum remains as a thin deprecated
-//! shim over this module, so fixed-seed figures stay byte-identical.
+//! [`PAPER_SCHEMES`] lists the five evaluated schemes in Table VI order.
 
 use crate::error::Error;
 use mlp_core::organizer::DtPolicy;
@@ -274,8 +270,7 @@ pub fn canonical_name(name: &str) -> String {
     name.chars().filter(|c| *c != '-' && *c != '_').map(|c| c.to_ascii_lowercase()).collect()
 }
 
-/// A scheduler by registered name plus typed parameters — the open
-/// replacement for the closed `Scheme` enum.
+/// A scheduler by registered name plus typed parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchemeSpec {
     /// Canonical registry name (lowercase, separators stripped).
@@ -546,6 +541,10 @@ impl SchedulerRegistry {
     }
 }
 
+/// The five evaluated schemes as spec strings, in Table VI order.
+pub const PAPER_SCHEMES: [&str; 5] =
+    ["fairsched", "cursched", "partprofile", "fullprofile", "vmlp"];
+
 /// The process-wide registry of built-in schemes.
 pub fn default_registry() -> &'static SchedulerRegistry {
     static REGISTRY: OnceLock<SchedulerRegistry> = OnceLock::new();
@@ -583,7 +582,6 @@ const VMLP_PARAM_KEYS: &[&str] = &[
     "trim_reservations",
     "heal_fanout",
     "dt_policy",
-    "unindexed_reorder",
 ];
 
 const SEARCH_PARAM_KEYS: &[&str] = &["neighborhood", "window", "iters", "round_budget", "margin"];
@@ -624,14 +622,13 @@ fn vmlp_config_from_params(params: &SchedulerParams) -> Result<VMlpConfig, Strin
     cfg.trim_reservations = params.bool_or("trim_reservations", cfg.trim_reservations)?;
     cfg.heal_fanout = params.usize_or("heal_fanout", cfg.heal_fanout)?;
     cfg.dt_policy = dt_policy_from_str(params.str_or("dt_policy", dt_policy_str(cfg.dt_policy))?)?;
-    cfg.unindexed_reorder = params.bool_or("unindexed_reorder", cfg.unindexed_reorder)?;
     Ok(cfg)
 }
 
 /// Inverse of [`vmlp_config_from_params`]: the minimal param set whose
-/// application to `paper()` reproduces `cfg`. Used by the `Scheme` shim
-/// and the legacy `VMlpCustom` deserializer.
-pub(crate) fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
+/// application to `paper()` reproduces `cfg`. Used by display names and
+/// the legacy `VMlpCustom` deserializer.
+fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
     let paper = VMlpConfig::paper();
     let mut p = SchedulerParams::new();
     if !cfg.delay_slot && !cfg.resource_stretch && (paper.delay_slot || paper.resource_stretch) {
@@ -658,9 +655,6 @@ pub(crate) fn vmlp_params_from_config(cfg: VMlpConfig) -> SchedulerParams {
     }
     if cfg.dt_policy != paper.dt_policy {
         p = p.with("dt_policy", dt_policy_str(cfg.dt_policy));
-    }
-    if cfg.unindexed_reorder != paper.unindexed_reorder {
-        p = p.with("unindexed_reorder", cfg.unindexed_reorder);
     }
     p
 }

@@ -109,7 +109,6 @@ mod tests {
     use super::*;
     use crate::experiment::Experiment;
     use crate::profiling::warm_profiles;
-    use crate::scheme::Scheme;
     use mlp_model::{benchmarks::sn, RequestCatalog};
     use mlp_sim::SimRng;
 
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn experiment_roundtrip() {
-        let cfg = ExperimentConfig::smoke(Scheme::FairSched).with_seed(8);
+        let cfg = ExperimentConfig::smoke("fairsched").with_seed(8);
         let result = Experiment::from_config(cfg.clone()).run().unwrap();
         let path = tmp("experiment.json");
         save_experiment(&path, &result).unwrap();

@@ -11,7 +11,7 @@
 
 use v_mlp::prelude::*;
 
-fn run(scheme: Scheme, two_tier: bool) -> ExperimentResult {
+fn run(scheme: &str, two_tier: bool) -> ExperimentResult {
     let mut cfg = ExperimentConfig {
         machines: 12,
         max_rate: 48.0,
@@ -36,12 +36,12 @@ fn main() {
         "{:12} {:>14} {:>14} {:>12} {:>12}",
         "scheme", "p99 homog", "p99 two-tier", "viol homog", "viol 2-tier"
     );
-    for scheme in [Scheme::FairSched, Scheme::CurSched, Scheme::PartProfile, Scheme::VMlp] {
+    for scheme in ["fairsched", "cursched", "partprofile", "vmlp"] {
         let homog = run(scheme, false);
         let tier = run(scheme, true);
         println!(
             "{:12} {:>11.1} ms {:>11.1} ms {:>11.2}% {:>11.2}%",
-            scheme.label(),
+            homog.config.scheme.display_name(),
             homog.latency_ms[2],
             tier.latency_ms[2],
             homog.violation_rate * 100.0,

@@ -14,7 +14,7 @@ fn main() {
         machines: 12,
         max_rate: 80.0,
         horizon_s: 30.0,
-        ..ExperimentConfig::paper_default(Scheme::VMlp)
+        ..ExperimentConfig::paper_default("vmlp")
     };
 
     println!("running v-MLP on {} machines at {} req/s peak…", config.machines, config.max_rate);

@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_rate: 60.0,
         horizon_s: 20.0,
         pattern: WorkloadPattern::L2Fluctuating,
-        ..ExperimentConfig::paper_default(Scheme::VMlp)
+        ..ExperimentConfig::paper_default("vmlp")
     };
     let (result, raw) = Experiment::from_config(cfg).catalog(&catalog).run_full()?;
     println!(

@@ -33,7 +33,7 @@ fn main() {
         ("high-V_r stream (getCheapest + compose-post)", VolatilityClass::High),
     ] {
         println!("--- {label} ---");
-        for scheme in [Scheme::PartProfile, Scheme::VMlp] {
+        for scheme in ["partprofile", "vmlp"] {
             let config = ExperimentConfig {
                 machines: 12,
                 max_rate: 24.0,

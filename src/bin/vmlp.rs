@@ -125,15 +125,12 @@ fn serve_main(args: &[String]) -> ExitCode {
         queue_cap: 512,
         request_timeout: std::time::Duration::from_secs(30),
         drain_timeout: std::time::Duration::from_secs(10),
-        experiment: ExperimentConfig {
-            machines: 20,
-            ..ExperimentConfig::paper_default(Scheme::VMlp)
-        }
-        // Live runs are open-ended: aggregate in constant memory and cap
-        // the profile store so a soak cannot grow without bound.
-        .with_stream_stats(true)
-        .with_profile_retention(512)
-        .with_auditor(true),
+        experiment: ExperimentConfig { machines: 20, ..ExperimentConfig::paper_default("vmlp") }
+            // Live runs are open-ended: aggregate in constant memory and cap
+            // the profile store so a soak cannot grow without bound.
+            .with_stream_stats(true)
+            .with_profile_retention(512)
+            .with_auditor(true),
     };
     let mut audit_out: Option<PathBuf> = None;
 
@@ -285,7 +282,7 @@ fn main() -> ExitCode {
         machines: 20,
         max_rate: 140.0,
         horizon_s: 60.0,
-        ..ExperimentConfig::paper_default(Scheme::VMlp)
+        ..ExperimentConfig::paper_default("vmlp")
     };
     let mut out: Option<PathBuf> = None;
     let mut audit_out: Option<PathBuf> = None;

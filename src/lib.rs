@@ -4,7 +4,7 @@
 //! Microservice Level Parallelism"* (IEEE IPDPS 2022).
 //!
 //! The **stable public surface is [`prelude`]**: experiment configuration,
-//! the [`Experiment`](prelude::Experiment) builder, results, schemes, the
+//! the [`Experiment`](prelude::Experiment) builder, results, scheme specs, the
 //! scheduler trait and its implementations, cluster sharding, and fault
 //! injection. Examples, integration tests, and downstream users should
 //! import from it rather than reaching into the `mlp_*` workspace crates:
@@ -12,7 +12,7 @@
 //! ```
 //! use v_mlp::prelude::*;
 //!
-//! let result = Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+//! let result = Experiment::from_config(ExperimentConfig::smoke("vmlp"))
 //!     .run()
 //!     .expect("smoke config is valid");
 //! assert!(result.completed > 0);
@@ -61,11 +61,10 @@ pub mod prelude {
     pub use mlp_engine::experiment::Experiment;
     pub use mlp_engine::registry::{
         default_registry, BuildCtx, ParamValue, RegistryEntry, SchedulerParams, SchedulerRegistry,
-        SchemeSpec,
+        SchemeSpec, PAPER_SCHEMES,
     };
     pub use mlp_engine::report;
     pub use mlp_engine::runner::ExperimentResult;
-    pub use mlp_engine::scheme::Scheme;
     pub use mlp_engine::sweep::SweepConfig;
     pub use mlp_engine::traceio;
 

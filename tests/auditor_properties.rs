@@ -82,7 +82,7 @@ fn check(cfg: ExperimentConfig, label: &str) {
 
 #[test]
 fn all_schemes_hold_invariants_and_attribute_latency_exactly() {
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         for faults in [FaultConfig::disabled(), smoke_storm()] {
             let cfg =
                 ExperimentConfig::smoke(scheme).with_seed(11).with_faults(faults).with_audit(true);
@@ -94,7 +94,7 @@ fn all_schemes_hold_invariants_and_attribute_latency_exactly() {
 
 #[test]
 fn audit_and_auditor_never_change_results() {
-    let base = ExperimentConfig::smoke(Scheme::VMlp).with_seed(7).with_faults(smoke_storm());
+    let base = ExperimentConfig::smoke("vmlp").with_seed(7).with_faults(smoke_storm());
     let catalog = RequestCatalog::paper();
     let plain =
         run_experiment_full(&base.clone().with_audit(false).with_auditor(false), &catalog).0;
@@ -111,7 +111,7 @@ fn audit_and_auditor_never_change_results() {
 
 #[test]
 fn audit_trail_exports_ordered_valid_jsonl() {
-    let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(3).with_audit(true);
+    let cfg = ExperimentConfig::smoke("vmlp").with_seed(3).with_audit(true);
     let (_, out) = run_experiment_full(&cfg, &RequestCatalog::paper());
     assert!(!out.audit.is_empty(), "a live run must leave a trail");
     let mut prev = 0u64;
@@ -140,7 +140,7 @@ proptest! {
         seed in any::<u64>(),
         stormy in any::<bool>(),
     ) {
-        let scheme = Scheme::PAPER[scheme_i];
+        let scheme = PAPER_SCHEMES[scheme_i];
         let mix = [
             MixSpec::Balanced,
             MixSpec::SingleClass(VolatilityClass::Low),
@@ -158,6 +158,6 @@ proptest! {
         .with_seed(seed)
         .with_faults(if stormy { smoke_storm() } else { FaultConfig::disabled() })
         .with_audit(true);
-        check(cfg, &format!("{} mix#{mix_i} m={machines} r={rate:.0} seed={seed}", scheme.label()));
+        check(cfg, &format!("{scheme} mix#{mix_i} m={machines} r={rate:.0} seed={seed}"));
     }
 }

@@ -12,11 +12,11 @@ fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
 
 #[test]
 fn experiments_are_bit_reproducible() {
-    for scheme in [Scheme::FairSched, Scheme::VMlp] {
+    for scheme in ["fairsched", "vmlp"] {
         let cfg = ExperimentConfig::smoke(scheme).with_seed(42);
         let a = run_experiment(&cfg);
         let b = run_experiment(&cfg);
-        assert_eq!(a.completed, b.completed, "{}", scheme.label());
+        assert_eq!(a.completed, b.completed, "{scheme}");
         assert_eq!(a.latency_ms, b.latency_ms);
         assert_eq!(a.violation_rate, b.violation_rate);
         assert_eq!(a.mean_utilization, b.mean_utilization);
@@ -27,8 +27,8 @@ fn experiments_are_bit_reproducible() {
 
 #[test]
 fn different_seeds_give_different_streams() {
-    let cfg1 = ExperimentConfig::smoke(Scheme::VMlp).with_seed(1);
-    let cfg2 = ExperimentConfig::smoke(Scheme::VMlp).with_seed(2);
+    let cfg1 = ExperimentConfig::smoke("vmlp").with_seed(1);
+    let cfg2 = ExperimentConfig::smoke("vmlp").with_seed(2);
     let a = run_experiment(&cfg1);
     let b = run_experiment(&cfg2);
     assert_ne!(a.arrived, b.arrived, "distinct seeds should differ");
@@ -56,8 +56,8 @@ fn all_schemes_face_the_same_arrival_stream() {
     );
     assert_eq!(s1, s2);
     // And the runner's per-scheme results report identical arrivals.
-    let a = run_experiment(&ExperimentConfig::smoke(Scheme::FairSched).with_seed(5));
-    let b = run_experiment(&ExperimentConfig::smoke(Scheme::FullProfile).with_seed(5));
+    let a = run_experiment(&ExperimentConfig::smoke("fairsched").with_seed(5));
+    let b = run_experiment(&ExperimentConfig::smoke("fullprofile").with_seed(5));
     assert_eq!(a.arrived, b.arrived);
 }
 
@@ -77,12 +77,12 @@ fn disabled_faults_leave_runs_byte_identical() {
         degrade_duration_ms: 99_999,
         degrade_factor: 10.0,
     };
-    for scheme in [Scheme::VMlp, Scheme::CurSched] {
+    for scheme in ["vmlp", "cursched"] {
         let plain = ExperimentConfig::smoke(scheme).with_seed(77);
         let gated = plain.clone().with_faults(junk);
         let a = run_experiment(&plain);
         let b = run_experiment(&gated);
-        assert_eq!(a.completed, b.completed, "{}", scheme.label());
+        assert_eq!(a.completed, b.completed, "{scheme}");
         assert_eq!(a.latency_ms, b.latency_ms);
         assert_eq!(a.violation_rate, b.violation_rate);
         assert_eq!(a.mean_utilization, b.mean_utilization);
@@ -121,12 +121,12 @@ fn disabled_overload_leaves_runs_byte_identical() {
         tier3_pressure: 0.4,
         tier_hysteresis: 0.05,
     };
-    for scheme in [Scheme::VMlp, Scheme::CurSched] {
+    for scheme in ["vmlp", "cursched"] {
         let plain = ExperimentConfig::smoke(scheme).with_seed(77);
         let gated = plain.clone().with_overload(junk);
         let a = run_experiment(&plain);
         let b = run_experiment(&gated);
-        assert_eq!(a.completed, b.completed, "{}", scheme.label());
+        assert_eq!(a.completed, b.completed, "{scheme}");
         assert_eq!(a.latency_ms, b.latency_ms);
         assert_eq!(a.violation_rate, b.violation_rate);
         assert_eq!(a.mean_utilization, b.mean_utilization);
@@ -147,14 +147,14 @@ fn overload_runs_are_bit_reproducible() {
     // fully deterministic in the seed.
     let overload =
         OverloadConfig { max_queue_depth: 16, ..OverloadConfig::flash_crowd(4.0, 0.5, 4.0) };
-    for scheme in [Scheme::VMlp, Scheme::CurSched] {
+    for scheme in ["vmlp", "cursched"] {
         let cfg = ExperimentConfig::smoke(scheme)
             .with_pattern(WorkloadPattern::Constant)
             .with_seed(13)
             .with_overload(overload);
         let a = run_experiment(&cfg);
         let b = run_experiment(&cfg);
-        assert_eq!(a.completed, b.completed, "{}", scheme.label());
+        assert_eq!(a.completed, b.completed, "{scheme}");
         assert_eq!(a.arrived, b.arrived);
         assert_eq!(a.latency_ms, b.latency_ms);
         assert_eq!(a.violation_rate, b.violation_rate);
@@ -165,8 +165,8 @@ fn overload_runs_are_bit_reproducible() {
         assert_eq!(a.breaker_opens, b.breaker_opens);
         assert_eq!(a.peak_pressure, b.peak_pressure);
         // The surge must actually overload the gate at these settings.
-        assert!(a.shed_requests > 0, "{}: surge never tripped admission", scheme.label());
-        assert_eq!(a.arrived, a.completed + a.unfinished, "{}", scheme.label());
+        assert!(a.shed_requests > 0, "{scheme}: surge never tripped admission");
+        assert_eq!(a.arrived, a.completed + a.unfinished, "{scheme}");
     }
 }
 
@@ -183,11 +183,11 @@ fn fault_storms_are_bit_reproducible() {
         degrade_duration_ms: 2_000,
         degrade_factor: 3.0,
     };
-    for scheme in [Scheme::VMlp, Scheme::CurSched] {
+    for scheme in ["vmlp", "cursched"] {
         let cfg = ExperimentConfig::smoke(scheme).with_seed(13).with_faults(storm);
         let a = run_experiment(&cfg);
         let b = run_experiment(&cfg);
-        assert_eq!(a.completed, b.completed, "{}", scheme.label());
+        assert_eq!(a.completed, b.completed, "{scheme}");
         assert_eq!(a.latency_ms, b.latency_ms);
         assert_eq!(a.violation_rate, b.violation_rate);
         assert_eq!(a.utilization.values(), b.utilization.values());
@@ -198,8 +198,8 @@ fn fault_storms_are_bit_reproducible() {
         assert_eq!(a.crash_replans, b.crash_replans);
         assert_eq!(a.mttr_ms, b.mttr_ms);
         // The storm must actually do something at these settings.
-        assert!(a.machine_crashes > 0, "{}: storm injected no crashes", scheme.label());
-        assert!(a.node_failures > 0, "{}: storm killed no nodes", scheme.label());
+        assert!(a.machine_crashes > 0, "{scheme}: storm injected no crashes");
+        assert!(a.node_failures > 0, "{scheme}: storm killed no nodes");
     }
 }
 
@@ -207,7 +207,7 @@ fn fault_storms_are_bit_reproducible() {
 fn parallel_sweep_is_deterministic() {
     use v_mlp::engine::parallel::run_all;
     let configs: Vec<ExperimentConfig> =
-        Scheme::PAPER.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(3)).collect();
+        PAPER_SCHEMES.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(3)).collect();
     let r1 = run_all(&configs, 2);
     let r2 = run_all(&configs, 5); // different worker count, same results
     for (a, b) in r1.iter().zip(&r2) {
@@ -221,21 +221,37 @@ fn reorder_index_matches_sort_based_reference() {
     // The waiting queue is served from the incremental reorder index (per-
     // (shard, type) arrival-ordered deques, lazy head merge, versioned
     // terms cache); the per-round `sort_by_reorder_ratio` survives behind
-    // `unindexed_reorder` as the reference. Equivalence must hold at the
-    // *schedule* level: the same config run both ways must produce
-    // identical results and — modulo the `IndexInvalidate` records only
-    // the indexed path emits — a decision-audit trail identical entry for
-    // entry, unsharded and sharded.
+    // `VMlpConfig::unindexed_reorder` as the reference, reached here
+    // through a test-local registry whose `vmlp` entry sets that field.
+    // Equivalence must hold at the *schedule* level: the same config run
+    // both ways must produce identical results and — modulo the
+    // `IndexInvalidate` records only the indexed path emits — a
+    // decision-audit trail identical entry for entry, unsharded and
+    // sharded.
+    use v_mlp::core::VMlpConfig;
     use v_mlp::trace::DecisionKind;
+    let mut sorted = SchedulerRegistry::empty();
+    sorted
+        .register(RegistryEntry {
+            name: "vmlp",
+            summary: "v-MLP on the sort-based reference queue",
+            param_keys: &[],
+            build: |_params, _ctx| {
+                let cfg = VMlpConfig { unindexed_reorder: true, ..VMlpConfig::paper() };
+                Ok(Box::new(VMlpScheduler::with_config(cfg)))
+            },
+            display: |_params| Ok("v-MLP".to_string()),
+        })
+        .expect("one entry registers");
     for shards in [1usize, 4] {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
+        let cfg = ExperimentConfig::smoke("vmlp")
             .with_seed(17)
             .with_shards(shards, ShardPolicy::RoundRobin);
         let (idx_r, idx_out) =
             Experiment::from_config(cfg.clone()).audit(true).run_full().expect("indexed path runs");
         let (ref_r, ref_out) = Experiment::from_config(cfg)
+            .registry(&sorted)
             .audit(true)
-            .unindexed_reorder(true)
             .run_full()
             .expect("sorted reference path runs");
         let label = format!("shards={shards}");
@@ -271,10 +287,10 @@ fn banded_dt_fast_path_matches_sort_based_reference() {
     // *schedule* level, not just per estimate: the same config run both
     // ways must produce identical results and a decision-audit trail
     // identical entry for entry (every budget tier, defer, and admit) —
-    // unsharded and sharded, where the parallel round buffers decisions
-    // on the workers.
+    // unsharded and sharded, where one round walks each home shard in
+    // turn and then the overflow queue.
     for shards in [1usize, 4] {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp)
+        let cfg = ExperimentConfig::smoke("vmlp")
             .with_seed(17)
             .with_shards(shards, ShardPolicy::RoundRobin);
         let (fast_r, fast_out) =

@@ -10,7 +10,7 @@ use v_mlp::sim::{SimRng, SimTime};
 use v_mlp::trace::RequestId;
 use v_mlp::workload::{generate_stream, SliceSource};
 
-fn run_raw(scheme: Scheme, seed: u64) -> (v_mlp::engine::sim::SimOutput, RequestCatalog) {
+fn run_raw(scheme: &str, seed: u64) -> (v_mlp::engine::sim::SimOutput, RequestCatalog) {
     let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
     let catalog = RequestCatalog::paper();
     let root = SimRng::new(cfg.seed);
@@ -28,13 +28,13 @@ fn run_raw(scheme: Scheme, seed: u64) -> (v_mlp::engine::sim::SimOutput, Request
 
 #[test]
 fn no_scheme_loses_requests() {
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         let (out, _) = run_raw(scheme, 101);
-        assert!(out.arrived > 100, "{}: too few arrivals", scheme.label());
+        assert!(out.arrived > 100, "{scheme}: too few arrivals");
         assert!(
             out.collector.completed() + out.unfinished >= out.arrived,
             "{}: {} completed + {} unfinished < {} arrived",
-            scheme.label(),
+            scheme,
             out.collector.completed(),
             out.unfinished,
             out.arrived
@@ -43,7 +43,7 @@ fn no_scheme_loses_requests() {
         assert!(
             out.collector.completed() as f64 >= 0.95 * out.arrived as f64,
             "{}: only {}/{} completed",
-            scheme.label(),
+            scheme,
             out.collector.completed(),
             out.arrived
         );
@@ -52,7 +52,7 @@ fn no_scheme_loses_requests() {
 
 #[test]
 fn spans_respect_dag_causality_for_all_schemes() {
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         let (out, catalog) = run_raw(scheme, 202);
         let mut per_req: HashMap<RequestId, Vec<&v_mlp::trace::Span>> = HashMap::new();
         for s in out.collector.spans() {
@@ -68,11 +68,7 @@ fn spans_respect_dag_causality_for_all_schemes() {
             }
             for &(p, c) in dag.edges() {
                 if let (Some(&pe), Some(&cs)) = (end.get(&p), start.get(&c)) {
-                    assert!(
-                        cs >= pe,
-                        "{}: child {c} started before parent {p} ended",
-                        scheme.label()
-                    );
+                    assert!(cs >= pe, "{scheme}: child {c} started before parent {p} ended");
                 }
             }
         }
@@ -81,23 +77,23 @@ fn spans_respect_dag_causality_for_all_schemes() {
 
 #[test]
 fn every_span_has_sane_satisfaction_and_duration() {
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         let (out, _) = run_raw(scheme, 303);
         for s in out.collector.spans() {
             assert!(
                 (0.05..=1.0 + 1e-9).contains(&s.satisfaction),
                 "{}: satisfaction {} out of range",
-                scheme.label(),
+                scheme,
                 s.satisfaction
             );
-            assert!(s.end > s.start, "{}: zero-length span", scheme.label());
+            assert!(s.end > s.start, "{scheme}: zero-length span");
         }
     }
 }
 
 #[test]
 fn latencies_are_bounded_below_by_ideal() {
-    let (out, catalog) = run_raw(Scheme::VMlp, 404);
+    let (out, catalog) = run_raw("vmlp", 404);
     for rec in out.collector.requests() {
         let rt = catalog.request(rec.request_type);
         let ideal = rt.ideal_latency_ms(&catalog.services);
@@ -114,7 +110,7 @@ fn latencies_are_bounded_below_by_ideal() {
 
 #[test]
 fn completed_requests_have_all_spans() {
-    let (out, catalog) = run_raw(Scheme::PartProfile, 505);
+    let (out, catalog) = run_raw("partprofile", 505);
     let mut span_counts: HashMap<RequestId, usize> = HashMap::new();
     for s in out.collector.spans() {
         *span_counts.entry(s.request).or_default() += 1;
@@ -132,8 +128,8 @@ fn completed_requests_have_all_spans() {
 
 #[test]
 fn utilization_series_covers_horizon() {
-    let (out, _) = run_raw(Scheme::CurSched, 606);
-    let cfg = ExperimentConfig::smoke(Scheme::CurSched);
+    let (out, _) = run_raw("cursched", 606);
+    let cfg = ExperimentConfig::smoke("cursched");
     let expected = (cfg.horizon_s / cfg.sample_period_s) as usize;
     assert!(
         out.utilization.len() + 1 >= expected,
@@ -145,7 +141,7 @@ fn utilization_series_covers_horizon() {
 
 #[test]
 fn requests_finish_after_they_arrive() {
-    let (out, _) = run_raw(Scheme::FullProfile, 707);
+    let (out, _) = run_raw("fullprofile", 707);
     for rec in out.collector.requests() {
         assert!(rec.end > rec.arrival);
         assert!(rec.arrival >= SimTime::ZERO);
@@ -157,7 +153,7 @@ fn saturated_runs_terminate_and_account() {
     // Deliberate overload: offered load far beyond capacity. The run must
     // cut off at the drain wall with every request accounted for (the
     // engine's backoff/throttle hygiene, not a paper scenario).
-    for scheme in [Scheme::CurSched, Scheme::PartProfile, Scheme::VMlp] {
+    for scheme in ["cursched", "partprofile", "vmlp"] {
         let cfg = ExperimentConfig {
             machines: 2,
             max_rate: 60.0,
@@ -169,11 +165,11 @@ fn saturated_runs_terminate_and_account() {
         let r = Experiment::from_config(cfg).run().expect("overload config is valid");
         // ≈105 arrivals expected (Poisson, σ≈10); assert well below the
         // mean so the check is about overload, not the RNG stream.
-        assert!(r.arrived > 60, "{}: only {} arrivals", scheme.label(), r.arrived);
+        assert!(r.arrived > 60, "{scheme}: only {} arrivals", r.arrived);
         assert!(
             r.completed + r.unfinished >= r.arrived,
             "{}: lost requests under saturation",
-            scheme.label()
+            scheme
         );
         assert!((0.0..=1.0).contains(&r.violation_rate));
     }
@@ -189,7 +185,7 @@ fn drain_wall_caps_run_length() {
         horizon_s: 3.0,
         warmup_cases: 10,
         drain_factor: 2.0,
-        ..ExperimentConfig::paper_default(Scheme::FullProfile)
+        ..ExperimentConfig::paper_default("fullprofile")
     }
     .with_seed(37);
     let catalog = RequestCatalog::paper();

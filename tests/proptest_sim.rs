@@ -10,14 +10,8 @@ fn run_experiment(cfg: &ExperimentConfig) -> ExperimentResult {
     Experiment::from_config(cfg.clone()).run().expect("test config is valid")
 }
 
-fn arb_scheme() -> impl Strategy<Value = Scheme> {
-    prop_oneof![
-        Just(Scheme::FairSched),
-        Just(Scheme::CurSched),
-        Just(Scheme::PartProfile),
-        Just(Scheme::FullProfile),
-        Just(Scheme::VMlp),
-    ]
+fn arb_scheme() -> impl Strategy<Value = &'static str> {
+    (0..PAPER_SCHEMES.len()).prop_map(|i| PAPER_SCHEMES[i])
 }
 
 fn arb_pattern() -> impl Strategy<Value = WorkloadPattern> {

@@ -1,6 +1,6 @@
 //! Acceptance tests for the scheduler registry and the search contender:
-//! the deprecated `Scheme` enum path and the registry spec path produce
-//! byte-identical results for every paper scheme, `SearchSched` is
+//! config files that name a paper scheme by its legacy enum spelling run
+//! byte-identically to the registry spec string, `SearchSched` is
 //! deterministic from the experiment seed and auditor-clean, and the
 //! committed `sweeps/*.json` defaults reproduce the historically
 //! hardcoded scheme lists of the figure binaries exactly.
@@ -17,26 +17,34 @@ fn run_serialized(cfg: ExperimentConfig) -> String {
     serde_json::to_string(&r).expect("result serializes")
 }
 
-/// The enum shim and the registry spec path are the same scheduler: a
-/// fixed-seed smoke run serializes byte-identically whichever way the
-/// scheme was named, for all five paper schemes.
+/// Config files written when schemes were an enum (`"scheme": "VMlp"`)
+/// still load, and a fixed-seed smoke run serializes byte-identically to
+/// the same config naming the scheme by its registry spec string, for all
+/// five paper schemes.
 #[test]
 fn enum_shim_and_registry_specs_are_byte_identical() {
-    for scheme in Scheme::PAPER {
-        let via_enum = run_serialized(ExperimentConfig::smoke(scheme).with_seed(2022));
-        let spec = SchemeSpec::parse(scheme.label()).expect("labels parse as specs");
-        assert_eq!(spec, scheme.spec(), "{scheme:?}: label must resolve to the same spec");
-        let via_registry = run_serialized(ExperimentConfig::smoke(spec).with_seed(2022));
-        assert_eq!(via_enum, via_registry, "{scheme:?}: registry path diverged from the enum path");
+    let legacy = ["FairSched", "CurSched", "PartProfile", "FullProfile", "VMlp"];
+    for (scheme, legacy) in PAPER_SCHEMES.into_iter().zip(legacy) {
+        let cfg = ExperimentConfig::smoke(scheme).with_seed(2022);
+        let json = serde_json::to_string(&cfg).expect("config serializes");
+        let spec_field = format!("\"scheme\":\"{scheme}\"");
+        assert!(json.contains(&spec_field), "{scheme}: config JSON lacks {spec_field}");
+        let json = json.replace(&spec_field, &format!("\"scheme\":\"{legacy}\""));
+        let loaded: ExperimentConfig = serde_json::from_str(&json).expect("legacy config loads");
+        assert_eq!(loaded.scheme, SchemeSpec::from(scheme), "{legacy} must load as `{scheme}`");
+        assert_eq!(run_serialized(loaded), run_serialized(cfg), "{legacy}: runs diverged");
     }
 }
 
-/// Registry-built and enum-built schedulers carry the same display names
-/// everywhere the figures print them.
+/// The paper schemes carry their Table VI names everywhere the figures
+/// print them, and each name parses back to the same registry spec.
 #[test]
 fn display_names_round_trip_through_the_registry() {
-    for scheme in Scheme::PAPER {
-        assert_eq!(scheme.spec().display_name(), scheme.label());
+    let names: Vec<String> =
+        PAPER_SCHEMES.into_iter().map(|s| SchemeSpec::from(s).display_name()).collect();
+    assert_eq!(names, ["FairSched", "CurSched", "PartProfile", "FullProfile", "v-MLP"]);
+    for (scheme, name) in PAPER_SCHEMES.into_iter().zip(&names) {
+        assert_eq!(SchemeSpec::parse(name), Ok(SchemeSpec::from(scheme)), "{name}");
     }
     assert_eq!(SchemeSpec::parse("vmlp:healing=off").unwrap().display_name(), "v-MLP[healing=off]");
     assert_eq!(SchemeSpec::named("searchsched").display_name(), "SearchSched");
@@ -101,7 +109,7 @@ fn searchsched_is_auditor_clean_with_and_without_faults() {
 /// `Experiment` builder, not just the registry.
 #[test]
 fn bad_specs_are_typed_config_errors() {
-    let bad_spec = |spec: &str| match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
+    let bad_spec = |spec: &str| match Experiment::from_config(ExperimentConfig::smoke("vmlp"))
         .scheme_spec(spec)
     {
         Ok(_) => panic!("spec `{spec}` should have been rejected"),
@@ -135,18 +143,21 @@ fn malformed_spec_shapes_are_parse_errors() {
 }
 
 /// Unknown params surface as `InvalidConfig` (exit 2) listing the
-/// scheduler's known params, through the Experiment builder.
+/// scheduler's known params, through the Experiment builder. The
+/// sort-based reorder oracle is a test-only config field, not a param.
 #[test]
 fn unknown_params_are_typed_config_errors() {
-    let err = match Experiment::from_config(ExperimentConfig::smoke(Scheme::VMlp))
-        .scheme_spec("vmlp:warpdrive=9")
+    for (spec, key) in
+        [("vmlp:warpdrive=9", "warpdrive"), ("vmlp:unindexed_reorder=on", "unindexed_reorder")]
     {
-        Ok(_) => panic!("unknown param must be rejected"),
-        Err(e) => e,
-    };
-    assert_eq!(err.exit_code(), 2);
-    let msg = err.to_string();
-    assert!(msg.contains("warpdrive") && msg.contains("known params"), "{msg}");
+        let err = match Experiment::from_config(ExperimentConfig::smoke("vmlp")).scheme_spec(spec) {
+            Ok(_) => panic!("unknown param in `{spec}` must be rejected"),
+            Err(e) => e,
+        };
+        assert_eq!(err.exit_code(), 2);
+        let msg = err.to_string();
+        assert!(msg.contains(key) && msg.contains("known params"), "{msg}");
+    }
 }
 
 /// Empty and truncated sweep files are `InvalidConfig` (exit 2), never a

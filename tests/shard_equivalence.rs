@@ -36,7 +36,7 @@ fn one_shard_is_byte_identical_to_unsharded() {
     // The load-bearing property of the redesign: asking for a single shard
     // must reproduce the unsharded scan order exactly, so every existing
     // figure stays byte-identical.
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         for seed in [7u64, 2022] {
             let base = ExperimentConfig::smoke(scheme).with_seed(seed);
             let unsharded = Experiment::from_config(base.clone()).run().unwrap();
@@ -44,11 +44,7 @@ fn one_shard_is_byte_identical_to_unsharded() {
                 .run()
                 .unwrap();
             assert_eq!(one_shard.shard_overflows, 0);
-            assert_results_identical(
-                &unsharded,
-                &one_shard,
-                &format!("{} seed={seed}", scheme.label()),
-            );
+            assert_results_identical(&unsharded, &one_shard, &format!("{scheme} seed={seed}"));
         }
     }
 }
@@ -58,7 +54,7 @@ fn sharded_runs_hold_invariants_under_both_policies() {
     // Sharded scheduling must stay conservative: every request accounted
     // for, zero auditor violations (the auditor re-checks the shard
     // partition every sampling tick), for both assignment policies.
-    for scheme in Scheme::PAPER {
+    for scheme in PAPER_SCHEMES {
         for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityBalanced] {
             let cfg = ExperimentConfig::smoke(scheme)
                 .with_seed(11)
@@ -66,7 +62,7 @@ fn sharded_runs_hold_invariants_under_both_policies() {
                 .with_auditor(true);
             let catalog = RequestCatalog::paper();
             let (r, out) = Experiment::from_config(cfg).catalog(&catalog).run_full().unwrap();
-            let label = format!("{} {policy:?}", scheme.label());
+            let label = format!("{scheme} {policy:?}");
             assert_eq!(
                 r.invariant_violations, 0,
                 "{label}: auditor flagged violations; report: {:?}",
@@ -88,7 +84,7 @@ fn sharded_runs_hold_invariants_under_both_policies() {
 #[test]
 fn sharded_runs_are_bit_reproducible() {
     for policy in [ShardPolicy::RoundRobin, ShardPolicy::CapacityBalanced] {
-        let cfg = ExperimentConfig::smoke(Scheme::VMlp).with_seed(5).with_shards(4, policy);
+        let cfg = ExperimentConfig::smoke("vmlp").with_seed(5).with_shards(4, policy);
         let a = Experiment::from_config(cfg.clone()).run().unwrap();
         let b = Experiment::from_config(cfg).run().unwrap();
         assert_results_identical(&a, &b, &format!("{policy:?}"));
@@ -127,7 +123,7 @@ fn crash_storm_config() -> ExperimentConfig {
         max_rate: 30.0,
         horizon_s: 6.0,
         warmup_cases: 10,
-        ..ExperimentConfig::paper_default(Scheme::VMlp)
+        ..ExperimentConfig::paper_default("vmlp")
     }
     .with_seed(31)
     .with_shards(8, ShardPolicy::RoundRobin)
@@ -160,13 +156,10 @@ fn sharded_schedules_match_pinned_fixtures() {
     // order of decisions, moves the trail digest.
     let mut got = Vec::new();
     for shards in [4usize, 16] {
-        let cfg = ExperimentConfig {
-            machines: 16,
-            max_rate: 80.0,
-            ..ExperimentConfig::smoke(Scheme::VMlp)
-        }
-        .with_seed(13)
-        .with_shards(shards, ShardPolicy::RoundRobin);
+        let cfg =
+            ExperimentConfig { machines: 16, max_rate: 80.0, ..ExperimentConfig::smoke("vmlp") }
+                .with_seed(13)
+                .with_shards(shards, ShardPolicy::RoundRobin);
         got.push((format!("smoke shards={shards}"), pin_of(cfg)));
     }
     got.push(("crash storm shards=8".to_string(), pin_of(crash_storm_config())));
