@@ -4,9 +4,10 @@
 //! `memory.limit_in_bytes`, and IO via `net_cls`. In the simulation, the
 //! controller's observable effect is the *satisfaction fraction* each
 //! running service receives, which the sensitivity model of
-//! [`mlp_model::ResourceSensitivity`] turns into an execution-time penalty.
+//! [`mlp_model::ResourceSensitivity`] turns into an execution-time penalty;
+//! this module only names the knobs for Table III.
 
-use mlp_model::{ResourceKind, ResourceVector};
+use mlp_model::ResourceKind;
 use serde::{Deserialize, Serialize};
 
 /// The control knob used per resource kind (Table III's right column).
@@ -40,81 +41,9 @@ impl ControllerTool {
     }
 }
 
-/// Proportional-share satisfaction fractions for a set of co-located
-/// demands against a machine capacity.
-///
-/// When total demand exceeds capacity on some resource, every occupant's
-/// grant on that resource is scaled by `capacity / total_demand`; a
-/// service's overall satisfaction `f` is its worst per-resource grant
-/// ratio. With no contention every `f = 1`. This models the default
-/// work-conserving behaviour of cgroups shares when the scheduler has
-/// over-committed a node (the paper's Fig 5 scenario).
-pub fn proportional_satisfaction(demands: &[ResourceVector], capacity: ResourceVector) -> Vec<f64> {
-    if demands.is_empty() {
-        return Vec::new();
-    }
-    let mut total = ResourceVector::ZERO;
-    for d in demands {
-        total += *d;
-    }
-    // Per-kind scale factor (≤ 1 when over-committed).
-    let mut scale = [1.0f64; 3];
-    for (i, kind) in ResourceKind::ALL.iter().enumerate() {
-        let t = total.get(*kind);
-        let c = capacity.get(*kind);
-        if t > c && t > 0.0 {
-            scale[i] = (c / t).max(0.0);
-        }
-    }
-    demands
-        .iter()
-        .map(|d| {
-            let mut f = 1.0f64;
-            for (i, kind) in ResourceKind::ALL.iter().enumerate() {
-                if d.get(*kind) > 0.0 {
-                    f = f.min(scale[i]);
-                }
-            }
-            f
-        })
-        .collect()
-}
-
-/// A per-container cap (the self-healing module's *resource stretch* writes
-/// new caps through this). `None` means uncapped (demand-limited).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct ContainerCaps {
-    /// Optional cap per resource; effective grant = min(demand·stretch, cap).
-    pub limit: Option<ResourceVector>,
-    /// Multiplier on the nominal demand the container may consume
-    /// (stretch > 1 lets an executing service soak up idle resources and
-    /// finish sooner; Section III-F).
-    pub stretch: f64,
-}
-
-impl ContainerCaps {
-    /// Uncapped, unstretched.
-    pub fn unrestricted() -> Self {
-        ContainerCaps { limit: None, stretch: 1.0 }
-    }
-
-    /// Effective resource grant for a service with `demand`.
-    pub fn effective_grant(&self, demand: ResourceVector) -> ResourceVector {
-        let stretched = demand * self.stretch.max(0.0);
-        match self.limit {
-            Some(cap) => stretched.min(&cap),
-            None => stretched,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn rv(c: f64, m: f64, i: f64) -> ResourceVector {
-        ResourceVector::new(c, m, i)
-    }
 
     #[test]
     fn table3_mapping() {
@@ -124,83 +53,5 @@ mod tests {
             "cgroups memory.limit_in_bytes"
         );
         assert_eq!(ControllerTool::for_kind(ResourceKind::Io).name(), "cgroups net_cls");
-    }
-
-    #[test]
-    fn no_contention_full_satisfaction() {
-        let cap = rv(4.0, 1000.0, 100.0);
-        let demands = vec![rv(1.0, 100.0, 10.0), rv(2.0, 200.0, 20.0)];
-        let f = proportional_satisfaction(&demands, cap);
-        assert_eq!(f, vec![1.0, 1.0]);
-    }
-
-    #[test]
-    fn cpu_contention_scales_cpu_users() {
-        let cap = rv(4.0, 1000.0, 100.0);
-        // 8 cores demanded on a 4-core box: scale 0.5.
-        let demands = vec![rv(4.0, 100.0, 0.0), rv(4.0, 100.0, 0.0), rv(0.0, 100.0, 10.0)];
-        let f = proportional_satisfaction(&demands, cap);
-        assert_eq!(f[0], 0.5);
-        assert_eq!(f[1], 0.5);
-        // The IO-only service doesn't touch CPU and stays unaffected.
-        assert_eq!(f[2], 1.0);
-    }
-
-    #[test]
-    fn worst_resource_dominates() {
-        let cap = rv(4.0, 1000.0, 100.0);
-        // CPU 2x over, IO 4x over: services using both get f = 0.25.
-        let demands = vec![rv(8.0, 0.0, 400.0)];
-        let f = proportional_satisfaction(&demands, cap);
-        assert_eq!(f[0], 0.25);
-    }
-
-    #[test]
-    fn empty_demands() {
-        assert!(proportional_satisfaction(&[], rv(1.0, 1.0, 1.0)).is_empty());
-    }
-
-    #[test]
-    fn caps_clamp_and_stretch() {
-        let demand = rv(1.0, 100.0, 10.0);
-        let un = ContainerCaps::unrestricted();
-        assert_eq!(un.effective_grant(demand), demand);
-
-        let stretched = ContainerCaps { limit: None, stretch: 1.5 };
-        assert_eq!(stretched.effective_grant(demand), demand * 1.5);
-
-        let capped = ContainerCaps { limit: Some(rv(0.5, 1000.0, 1000.0)), stretch: 2.0 };
-        let g = capped.effective_grant(demand);
-        assert_eq!(g.cpu, 0.5); // limited
-        assert_eq!(g.mem, 200.0); // stretched
-    }
-}
-
-#[cfg(test)]
-mod prop_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_demand() -> impl Strategy<Value = ResourceVector> {
-        (0.0f64..8.0, 0.0f64..2000.0, 0.0f64..200.0)
-            .prop_map(|(c, m, i)| ResourceVector::new(c, m, i))
-    }
-
-    proptest! {
-        /// Granted resources (demand · f) never exceed capacity in total.
-        #[test]
-        fn grants_respect_capacity(demands in prop::collection::vec(arb_demand(), 1..10)) {
-            let cap = ResourceVector::new(4.0, 1000.0, 100.0);
-            let fs = proportional_satisfaction(&demands, cap);
-            let mut granted = ResourceVector::ZERO;
-            for (d, f) in demands.iter().zip(&fs) {
-                prop_assert!((0.0..=1.0).contains(f));
-                granted += *d * *f;
-            }
-            // Per-kind: granted ≤ capacity (+ epsilon).
-            prop_assert!(granted.cpu <= cap.cpu + 1e-6);
-            prop_assert!(granted.mem <= cap.mem + 1e-6);
-            prop_assert!(granted.io <= cap.io + 1e-6);
-        }
     }
 }

@@ -4,21 +4,18 @@
 //! [`Machine`] has a CPU/memory/IO capacity vector, a *future-reservation
 //! ledger* (the "real-time data … which contains future resource status"
 //! that Algorithm 1's machine-traversal consults), an actual-usage account,
-//! and cgroups-like [`controller`]s plus dockerstats-like [`monitor`]s
-//! (Table III).
+//! and the cgroups-like [`controller`] knobs of Table III.
 
 pub mod controller;
 pub mod ledger;
 pub mod ledger_naive;
 pub mod machine;
-pub mod monitor;
 pub mod pool;
 pub mod shard;
 
-pub use controller::{proportional_satisfaction, ControllerTool};
+pub use controller::ControllerTool;
 pub use ledger::ResourceLedger;
 pub use ledger_naive::NaiveLedger;
 pub use machine::{Cluster, GrantId, Machine, MachineId};
-pub use monitor::{MonitorTool, UsageMonitor};
 pub use pool::ShardPool;
 pub use shard::{ShardId, ShardMap, ShardPolicy};

@@ -21,13 +21,12 @@
 //! * [`scheduler`] — [`VMlpScheduler`], the composition of the above
 //!   behind the common [`mlp_sched::Scheduler`] trait. The
 //!   [`mlp_sched::SchedulerCtx`] it receives *is* the paper's "interface
-//!   layer": monitors ([`mlp_cluster::UsageMonitor`]), controllers
-//!   ([`mlp_cluster::ControllerTool`]), tracing ([`mlp_trace`]) and the
-//!   machine ledgers, abstracted away from the request handler above.
+//!   layer": the machine ledgers plus the historical profiles that the
+//!   engine's Zipkin-like tracer ([`mlp_trace`]) records on every
+//!   completed span, abstracted away from the request handler above.
 //! * [`parallelism`] — the ILP/TLP/MLP/RLP taxonomy of Table I.
 
 pub mod healer;
-pub mod interface;
 pub mod organizer;
 pub mod parallelism;
 pub mod reorder;

@@ -6,14 +6,13 @@ use crate::healer::{
     remaining_ideal_ms, stretch_candidates, stretch_factor, stretch_is_useful, ActiveRequest,
     DelaySlotIndex, NodeState,
 };
-use crate::interface::InterfaceLayer;
 use crate::organizer::{DtPolicy, OrganizerPolicy};
 use crate::reorder::sort_by_reorder_ratio;
 use crate::reorder_index::ReorderIndex;
 use crate::volatility::Volatility;
 use mlp_cluster::MachineId;
 use mlp_model::VolatilityClass;
-use mlp_sched::placement::{plan_request, unreserve_plan, FitCursor, Scope};
+use mlp_sched::placement::{plan_request, FitCursor, Scope};
 use mlp_sched::{
     HealingAction, LateInfo, NodeFailure, RequestInfo, RequestPlan, Scheduler, SchedulerCtx,
 };
@@ -96,7 +95,6 @@ pub struct VMlpScheduler {
     delay_slots: DelaySlotIndex,
     rr_cursor: usize,
     fit: FitCursor,
-    interface: InterfaceLayer,
 }
 
 /// Where one admission walk takes its requests from, and how far its
@@ -144,7 +142,6 @@ impl VMlpScheduler {
             delay_slots: DelaySlotIndex::default(),
             rr_cursor: 0,
             fit: FitCursor::new(),
-            interface: InterfaceLayer::new(),
         }
     }
 
@@ -156,11 +153,6 @@ impl VMlpScheduler {
     /// Number of admitted-but-unfinished requests (diagnostics).
     pub fn active_requests(&self) -> usize {
         self.active.len()
-    }
-
-    /// The run-time telemetry of the interface layer (Section III-D).
-    pub fn interface(&self) -> &InterfaceLayer {
-        &self.interface
     }
 
     fn admit(&mut self, req: RequestInfo, plan: RequestPlan, ctx: &SchedulerCtx<'_>) {
@@ -531,11 +523,6 @@ impl Scheduler for VMlpScheduler {
 
     fn on_span_complete(&mut self, span: &Span, ctx: &mut SchedulerCtx<'_>) -> Vec<HealingAction> {
         let Some(ar) = self.active.get_mut(&span.request) else { return Vec::new() };
-        // Interface layer telemetry: usage approximated by the plan's
-        // grant scaled by the satisfaction the span actually ran with.
-        let grant = ar.plan.nodes[span.dag_node].grant;
-        self.interface.observe_span(span, grant * span.satisfaction, ctx.now);
-        let ar = self.active.get_mut(&span.request).expect("still present");
         ar.state[span.dag_node] = NodeState::Done;
         let np = ar.plan.nodes[span.dag_node];
         let finished_early = span.end < np.planned_end();
@@ -893,12 +880,6 @@ impl Scheduler for VMlpScheduler {
         // summing keeps this honest either way.
         self.queue.len() + self.index.len()
     }
-}
-
-/// Rolls back every reservation still held by an active request (used by
-/// engines that abort runs early).
-pub fn release_active_plan(plan: &RequestPlan, ctx: &mut SchedulerCtx<'_>) {
-    unreserve_plan(plan, ctx);
 }
 
 #[cfg(test)]

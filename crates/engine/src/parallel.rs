@@ -56,20 +56,9 @@ pub fn run_all(configs: &[ExperimentConfig], workers: usize) -> Vec<ExperimentRe
     slots.into_iter().map(|r| r.expect("every config produces a result")).collect()
 }
 
-/// Convenience: run one scheme-per-config comparison and pair each result
-/// with its registry-derived display name (e.g. `v-MLP[healing=off]` for
-/// an ablated spec, not the old opaque `v-MLP*`).
-pub fn run_labeled(
-    configs: &[ExperimentConfig],
-    workers: usize,
-) -> Vec<(String, ExperimentResult)> {
-    run_all(configs, workers).into_iter().map(|r| (r.config.scheme.display_name(), r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::PAPER_SCHEMES;
 
     #[test]
     fn parallel_matches_sequential() {
@@ -84,15 +73,6 @@ mod tests {
             assert_eq!(p.completed, s.completed);
             assert_eq!(p.latency_ms, s.latency_ms);
         }
-    }
-
-    #[test]
-    fn results_preserve_input_order() {
-        let configs: Vec<ExperimentConfig> =
-            PAPER_SCHEMES.into_iter().map(|s| ExperimentConfig::smoke(s).with_seed(1)).collect();
-        let labeled = run_labeled(&configs, 0);
-        let labels: Vec<&str> = labeled.iter().map(|(l, _)| l.as_str()).collect();
-        assert_eq!(labels, vec!["FairSched", "CurSched", "PartProfile", "FullProfile", "v-MLP"]);
     }
 
     #[test]

@@ -244,21 +244,6 @@ pub fn simulate(
     } else {
         TraceCollector::new()
     };
-    simulate_with(cfg, catalog, profiles, source, scheduler, rng, collector)
-}
-
-/// [`simulate`] with a caller-supplied collector (e.g. a streaming
-/// collector wired to a JSONL spill sink for soak runs).
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_with(
-    cfg: &ExperimentConfig,
-    catalog: &RequestCatalog,
-    profiles: ProfileStore,
-    source: &mut dyn ArrivalSource,
-    scheduler: &mut dyn Scheduler,
-    rng: &mut SimRng,
-    collector: TraceCollector,
-) -> SimOutput {
     // Queue capacity: sized from the source's hint when one exists, but
     // capped — an open-loop source may promise millions of arrivals while
     // the queue only ever holds the in-flight window.
@@ -491,7 +476,7 @@ mod tests {
     use crate::profiling::warm_profiles;
     use crate::registry::PAPER_SCHEMES;
     use mlp_trace::Span;
-    use mlp_workload::{generate_stream, OpenLoopSource, SliceSource};
+    use mlp_workload::{generate_stream, OpenLoopSource, RateSchedule, SliceSource};
 
     fn run(scheme: &str, seed: u64) -> SimOutput {
         let cfg = ExperimentConfig::smoke(scheme).with_seed(seed);
@@ -626,10 +611,11 @@ mod tests {
         let mut warm_rng = root.fork(2);
         let profiles = warm_profiles(&catalog, cfg.warmup_cases, &mut warm_rng);
         let mix = cfg.mix.resolve(&catalog);
+        let schedule = RateSchedule::steady(cfg.pattern, cfg.max_rate).unwrap();
         // The smoke horizon offers >100 arrivals, so a cap of 60 binds.
-        let mut source =
-            OpenLoopSource::poisson(cfg.pattern, cfg.max_rate, cfg.horizon_s, mix, arr_rng)
-                .with_max_requests(60);
+        let mut source = OpenLoopSource::scheduled(schedule, cfg.horizon_s, mix, arr_rng)
+            .unwrap()
+            .with_max_requests(60);
         let mut sched = crate::registry::default_registry().build(&cfg.scheme, cfg.seed).unwrap();
         let out = simulate(&cfg, &catalog, profiles, &mut source, sched.as_mut(), &mut sim_rng);
         assert_eq!(out.arrived, 60, "cap honored");

@@ -25,17 +25,15 @@ impl<'c, D: Driver> Sim<'c, D> {
         // auditor cross-checks that a tighter window never breaks
         // reservation consistency.
         self.cluster.prune_ledgers_before(now.saturating_sub(self.ledger_retention));
-        // Publish how much timeline pruning left behind: the per-machine
-        // gauges plus a cluster max (a high-water mark across ticks) and
-        // per-tick total. Long runs assert on these to prove retained
-        // breakpoints stay bounded.
+        // Publish how much timeline pruning left behind: a cluster max (a
+        // high-water mark across ticks) and the per-tick total. Long runs
+        // assert on these to prove retained breakpoints stay bounded.
         let mut total = 0usize;
         let mut largest = 0usize;
         for m in self.cluster.machines() {
             let len = m.ledger.timeline_len();
             total += len;
             largest = largest.max(len);
-            self.metrics.set_gauge(&names::ledger_timeline(m.id.0), len as f64);
         }
         let max_seen =
             self.metrics.gauge(names::LEDGER_TIMELINE_MAX).unwrap_or(0.0).max(largest as f64);
@@ -44,20 +42,15 @@ impl<'c, D: Driver> Sim<'c, D> {
         // Request-table occupancy: the soak benchmark asserts the peak
         // plateaus (memory tracks the in-flight window, not arrivals).
         self.metrics.set_gauge(names::REQUEST_TABLE_PEAK, self.table.peak() as f64);
-        // Per-shard gauges, only when actually sharded: scale runs watch
-        // whether load (and retained timeline) stays balanced across
-        // shards or piles up in a few.
+        // Per-shard peak utilization, only when actually sharded: scale
+        // runs watch whether load stays balanced across shards or piles up
+        // in a few.
         if self.cluster.shard_count() > 1 {
             for s in 0..self.cluster.shard_count() as u32 {
-                let shard = mlp_cluster::ShardId(s);
-                let util = self.cluster.shard_utilization(shard);
-                self.metrics.set_gauge(&names::shard_utilization(s), util);
+                let util = self.cluster.shard_utilization(mlp_cluster::ShardId(s));
                 let peak_name = names::shard_utilization_peak(s);
                 let peak = self.metrics.gauge(&peak_name).unwrap_or(0.0).max(util);
                 self.metrics.set_gauge(&peak_name, peak);
-                let timeline: usize =
-                    self.cluster.shard_machines(shard).map(|m| m.ledger.timeline_len()).sum();
-                self.metrics.set_gauge(&names::shard_ledger_timeline(s), timeline as f64);
             }
         }
         self.overload_tick(now, waiting);

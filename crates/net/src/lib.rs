@@ -139,15 +139,6 @@ impl NetworkModel {
         }
         s.variance()
     }
-
-    /// Probability that a hop is a congestion spike (diagnostics).
-    pub fn spike_probability(&self, same_machine: bool) -> f64 {
-        if same_machine {
-            self.cfg.spike_prob * 0.1
-        } else {
-            self.cfg.spike_prob
-        }
-    }
 }
 
 /// Draws the Fig 4 histogram data: `n` communication times (ms) for a

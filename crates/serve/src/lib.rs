@@ -453,25 +453,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) -> io::Result<()> {
     }
 }
 
-/// Convenience: write an error to stderr only — used by bins, kept here so
-/// both `vmlp serve` and `loadgen` format failures identically.
-pub fn print_io_error(context: &str, e: &io::Error) {
-    eprintln!("error: {context}: {e}");
-}
-
-/// Blocks until `addr` accepts a TCP connection or the deadline passes.
-/// Lets scripts start `vmlp serve` and `loadgen` back to back.
-pub fn wait_ready(addr: &str, timeout: Duration) -> bool {
-    let deadline = std::time::Instant::now() + timeout;
-    while std::time::Instant::now() < deadline {
-        if TcpStream::connect(addr).is_ok() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    false
-}
-
 // A tiny blocking client for tests and the load generator.
 pub mod client {
     use super::protocol::Response;

@@ -2,14 +2,15 @@
 //!
 //! Replays the paper's workload patterns (L1–L3, plus `const` and the
 //! rate-schedule overlays such as [`RateSchedule::diurnal_sine`]) as real
-//! wall-clock traffic: a Lewis–Shedler thinning sampler turns the rate
-//! curve into arrival instants, each connection thread sleeps to its next
-//! instant, fires a `RUN` line, and parks for the reply. The target rate
-//! is split evenly across connections — superposing `N` Poisson processes
-//! at `rate/N` is again Poisson at `rate` — so per-connection blocking on
-//! the reply only distorts the process when a single connection's share
-//! exceeds what one in-flight request can carry; sizing `connections`
-//! generously keeps the offered process honest.
+//! wall-clock traffic: each connection thread pulls arrival instants from
+//! its own [`OpenLoopSource`] (the workload crate's Lewis–Shedler sampler,
+//! the same one the simulator uses), sleeps to the next instant, fires a
+//! `RUN` line, and parks for the reply. The target rate is split evenly
+//! across connections ([`RateSchedule::split`]) — superposing `N` Poisson
+//! processes at `rate/N` is again Poisson at `rate` — so per-connection
+//! blocking on the reply only distorts the process when a single
+//! connection's share exceeds what one in-flight request can carry; sizing
+//! `connections` generously keeps the offered process honest.
 //!
 //! All randomness flows from one [`SimRng`] seed (thread `i` forks stream
 //! `i`), so two runs at the same seed offer the same request sequence at
@@ -20,8 +21,7 @@ use crate::client::Client;
 use crate::protocol::Response;
 use mlp_model::{RequestCatalog, RequestTypeId};
 use mlp_sim::SimRng;
-use mlp_workload::RateSchedule;
-use rand::Rng;
+use mlp_workload::{ArrivalSource, OpenLoopSource, RateSchedule};
 use std::time::{Duration, Instant};
 
 /// What to offer, where, and for how long.
@@ -130,7 +130,6 @@ impl LoadReport {
 pub fn run(cfg: &LoadgenConfig) -> LoadReport {
     let catalog = RequestCatalog::paper();
     let mix = catalog.balanced_mix();
-    let total_weight: f64 = mix.iter().map(|(_, w)| w).sum();
     let root = SimRng::new(cfg.seed);
     let start = Instant::now();
 
@@ -139,12 +138,10 @@ pub fn run(cfg: &LoadgenConfig) -> LoadReport {
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
-            let mut rng = root.fork(i as u64);
+            let rng = root.fork(i as u64);
             let mix = mix.clone();
             let cfg = cfg.clone();
-            handles.push(scope.spawn(move || {
-                connection_loop(&cfg, n as f64, start, &mix, total_weight, &mut rng)
-            }));
+            handles.push(scope.spawn(move || connection_loop(&cfg, n, start, mix, rng)));
         }
         for h in handles {
             if let Ok(report) = h.join() {
@@ -160,11 +157,10 @@ pub fn run(cfg: &LoadgenConfig) -> LoadReport {
 /// One connection's share of the offered load.
 fn connection_loop(
     cfg: &LoadgenConfig,
-    shares: f64,
+    shares: usize,
     start: Instant,
-    mix: &[(RequestTypeId, f64)],
-    total_weight: f64,
-    rng: &mut SimRng,
+    mix: Vec<(RequestTypeId, f64)>,
+    rng: SimRng,
 ) -> LoadReport {
     let mut report = LoadReport::default();
     let mut client = match Client::connect(&cfg.addr, cfg.timeout) {
@@ -175,27 +171,20 @@ fn connection_loop(
         }
     };
 
-    // Lewis–Shedler over this connection's slice of the curve: candidate
-    // gaps are exponential at the majorant `peak/shares`, thinned by the
-    // instantaneous rate. `t` is seconds since the run started.
-    let max_rate = (cfg.schedule.peak_rate() / shares).max(f64::MIN_POSITIVE);
+    // Arrival instants are microseconds since the run started. The mix is
+    // drawn even if we fall behind, keeping the request sequence a pure
+    // function of the seed.
     let horizon = cfg.duration.as_secs_f64();
-    let mut t = 0.0f64;
-    loop {
-        let u: f64 = rng.rng().gen_range(f64::MIN_POSITIVE..1.0);
-        t += -u.ln() / max_rate;
-        if t >= horizon {
-            break;
+    let mut source = match OpenLoopSource::scheduled(cfg.schedule.split(shares), horizon, mix, rng)
+    {
+        Ok(s) => s,
+        Err(_) => {
+            report.errors += 1;
+            return report;
         }
-        let accept: f64 = rng.rng().gen_range(0.0..1.0);
-        if accept * max_rate >= cfg.schedule.rate_at(t) / shares {
-            continue;
-        }
-        // The mix draw happens even if we fall behind, keeping the request
-        // sequence a pure function of the seed.
-        let rtype = sample_mix(mix, total_weight, rng);
-
-        let due = start + Duration::from_secs_f64(t);
+    };
+    while let Some(arrival) = source.next_arrival() {
+        let due = start + Duration::from_micros(arrival.at.0);
         let now = Instant::now();
         if due > now {
             std::thread::sleep(due - now);
@@ -204,7 +193,7 @@ fn connection_loop(
         }
 
         report.sent += 1;
-        match client.run(&rtype.0.to_string()) {
+        match client.run(&arrival.request_type.0.to_string()) {
             Ok(Response::Ok { latency_us, .. }) => {
                 report.completed += 1;
                 report.latencies_us.push(latency_us);
@@ -229,20 +218,6 @@ fn connection_loop(
     report
 }
 
-/// Weighted draw from the request mix (same scheme the simulator's
-/// arrival generator uses, re-derived here because the workload crate
-/// keeps its sampler private to the streaming source).
-fn sample_mix(mix: &[(RequestTypeId, f64)], total_weight: f64, rng: &mut SimRng) -> RequestTypeId {
-    let mut pick: f64 = rng.rng().gen_range(0.0..total_weight);
-    for (id, w) in mix {
-        if pick < *w {
-            return *id;
-        }
-        pick -= w;
-    }
-    mix.last().expect("mix is non-empty").0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,28 +239,6 @@ mod tests {
         let json = r.to_json();
         assert!(json.contains("\"p99_us\":40"), "{json}");
         assert!(json.contains("\"achieved_rps\":2.0"), "{json}");
-    }
-
-    #[test]
-    fn mix_sampling_is_weight_respecting() {
-        let catalog = RequestCatalog::paper();
-        let mix = catalog.balanced_mix();
-        let total: f64 = mix.iter().map(|(_, w)| w).sum();
-        let mut rng = SimRng::new(42);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..5000 {
-            *counts.entry(sample_mix(&mix, total, &mut rng)).or_insert(0u32) += 1;
-        }
-        // Every type with weight shows up; nothing outside the mix does.
-        assert_eq!(counts.len(), mix.len());
-        for (id, w) in &mix {
-            let observed = counts[id] as f64 / 5000.0;
-            let expected = w / total;
-            assert!(
-                (observed - expected).abs() < 0.05,
-                "type {id:?}: observed {observed:.3} vs expected {expected:.3}"
-            );
-        }
     }
 
     /// End-to-end: a real server on loopback, a short diurnal-sine L2

@@ -7,8 +7,7 @@
 //!   runs stay byte-identical. Memory is O(total requests).
 //! * **streaming** ([`TraceCollector::streaming`]): records are folded
 //!   into O(1) running aggregates on arrival — Welford mean, P² quantile
-//!   markers, per-class and per-type counters, breakdown sums — and
-//!   optionally spilled to a JSONL sink for offline analysis. Memory is
+//!   markers, per-class and per-type counters, breakdown sums. Memory is
 //!   O(request types), which is what lets a soak run push millions of
 //!   requests through a laptop.
 
@@ -18,9 +17,6 @@ use mlp_sim::{SimDuration, SimTime};
 use mlp_stats::{Cdf, P2Quantile, Summary};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Critical-path decomposition of one request's end-to-end latency.
 ///
@@ -121,15 +117,6 @@ impl TraceCollector {
             requests: Vec::new(),
             stream: Some(Box::new(StreamingStats::new(horizon))),
         }
-    }
-
-    /// Attaches a JSONL spill sink (streaming mode only): every completed
-    /// request is appended to `path` as one JSON object per line, so full
-    /// records stay available offline while in-memory state stays O(1).
-    pub fn with_spill(mut self, path: &Path) -> std::io::Result<Self> {
-        let s = self.stream.as_mut().expect("spill sink requires a streaming-mode collector");
-        s.spill = Some(JsonlSink::create(path)?);
-        Ok(self)
     }
 
     /// The streaming aggregates, when in streaming mode.
@@ -276,15 +263,6 @@ impl TraceCollector {
         self.latency_cdf(class).percentile(p)
     }
 
-    /// Per-service execution-time summaries (ms) across all spans.
-    pub fn service_exec_summaries(&self) -> HashMap<mlp_model::ServiceId, Summary> {
-        let mut map: HashMap<mlp_model::ServiceId, Summary> = HashMap::new();
-        for s in &self.spans {
-            map.entry(s.service).or_default().record(s.duration().as_millis_f64());
-        }
-        map
-    }
-
     /// Fraction of spans that started later than planned, and their mean
     /// lateness (ms) — how disturbed the schedule was.
     pub fn lateness_stats(&self) -> (f64, f64) {
@@ -415,7 +393,6 @@ pub struct StreamingStats {
     spans_late: usize,
     lateness_sum_ms: f64,
     spans_capped: usize,
-    spill: Option<JsonlSink>,
 }
 
 impl StreamingStats {
@@ -438,7 +415,6 @@ impl StreamingStats {
             spans_late: 0,
             lateness_sum_ms: 0.0,
             spans_capped: 0,
-            spill: None,
         }
     }
 
@@ -492,9 +468,6 @@ impl StreamingStats {
             self.breakdown_sum.cap_ms += b.cap_ms;
             self.breakdown_sum.healed_ms += b.healed_ms;
             self.breakdown_n += 1;
-        }
-        if let Some(sink) = &self.spill {
-            sink.append(rec);
         }
     }
 
@@ -615,80 +588,6 @@ impl StreamingStats {
     pub fn spans_total(&self) -> usize {
         self.spans_total
     }
-
-    /// Records the spill sink failed to write (I/O errors are counted,
-    /// never allowed to kill a multi-hour soak run).
-    pub fn spill_errors(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.errors())
-    }
-
-    /// Flushes the spill sink, returning its path when one is attached.
-    pub fn flush_spill(&self) -> Option<&Path> {
-        self.spill.as_ref().map(|s| {
-            s.flush();
-            s.path.as_path()
-        })
-    }
-}
-
-/// Append-only JSONL sink for spilled [`RequestRecord`]s.
-///
-/// Shared behind `Arc<Mutex<_>>` so the collector stays `Clone` (clones
-/// append to the same file); write failures are counted, not propagated —
-/// a full disk must degrade the spill, not abort the simulation.
-#[derive(Clone)]
-struct JsonlSink {
-    path: PathBuf,
-    writer: Arc<Mutex<std::io::BufWriter<std::fs::File>>>,
-    errors: Arc<std::sync::atomic::AtomicU64>,
-}
-
-impl std::fmt::Debug for JsonlSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JsonlSink").field("path", &self.path).finish_non_exhaustive()
-    }
-}
-
-impl JsonlSink {
-    fn create(path: &Path) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(JsonlSink {
-            path: path.to_path_buf(),
-            writer: Arc::new(Mutex::new(std::io::BufWriter::new(file))),
-            errors: Arc::new(std::sync::atomic::AtomicU64::new(0)),
-        })
-    }
-
-    fn append(&self, rec: &RequestRecord) {
-        let line = match serde_json::to_string(rec) {
-            Ok(l) => l,
-            Err(_) => {
-                self.errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                return;
-            }
-        };
-        let mut w = match self.writer.lock() {
-            Ok(w) => w,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if writeln!(w, "{line}").is_err() {
-            self.errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    fn flush(&self) {
-        let mut w = match self.writer.lock() {
-            Ok(w) => w,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if w.flush().is_err() {
-            self.errors.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    fn errors(&self) -> u64 {
-        self.errors.load(std::sync::atomic::Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -762,18 +661,6 @@ mod tests {
         assert!((frac - 1.0 / 3.0).abs() < 1e-12);
         assert!((mean - 5.0).abs() < 1e-12);
         assert!((c.capped_fraction() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn service_summaries_group_by_template() {
-        let mut c = TraceCollector::new();
-        c.record_span(span(1, 0, 10, 0, 1.0));
-        c.record_span(span(1, 0, 20, 0, 1.0));
-        c.record_span(span(2, 0, 40, 0, 1.0));
-        let sums = c.service_exec_summaries();
-        assert_eq!(sums[&ServiceId(1)].count(), 2);
-        assert_eq!(sums[&ServiceId(1)].mean(), 15.0);
-        assert_eq!(sums[&ServiceId(2)].mean(), 40.0);
     }
 
     #[test]
@@ -886,34 +773,5 @@ mod tests {
         assert!(stream.requests().is_empty() && stream.spans().is_empty());
         assert!(stream.approx_retained_bytes() < 16 * 1024);
         assert!(exact.approx_retained_bytes() > stream.approx_retained_bytes());
-    }
-
-    #[test]
-    fn streaming_spill_writes_jsonl() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("vmlp-spill-{}.jsonl", std::process::id()));
-        let mut c = TraceCollector::streaming(SimTime::from_secs(1)).with_spill(&path).unwrap();
-        for i in 0..10u64 {
-            c.record_request(req(i, VolatilityClass::Low, 0, 10 + i, 50.0));
-        }
-        let ss = c.streaming_stats().unwrap();
-        assert_eq!(ss.flush_spill(), Some(path.as_path()));
-        assert_eq!(ss.spill_errors(), 0);
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 10);
-        // Each line round-trips to the record it spilled.
-        let back: RequestRecord = serde_json::from_str(lines[3]).unwrap();
-        assert_eq!(back.id, RequestId(3));
-        assert_eq!(back.latency(), SimDuration::from_millis(13));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "streaming-mode collector")]
-    fn spill_on_exact_collector_panics() {
-        let dir = std::env::temp_dir();
-        let path = dir.join("vmlp-never-created.jsonl");
-        let _ = TraceCollector::new().with_spill(&path);
     }
 }

@@ -1,10 +1,11 @@
-//! Non-homogeneous Poisson arrival generation and request-mix sampling.
+//! Dense (materialized) non-homogeneous Poisson arrival streams.
 
 use crate::error::WorkloadError;
 use crate::patterns::WorkloadPattern;
+use crate::schedule::RateSchedule;
+use crate::source::{ArrivalSource, OpenLoopSource};
 use mlp_model::RequestTypeId;
 use mlp_sim::{SimRng, SimTime};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// One request arrival in a generated stream.
@@ -61,7 +62,9 @@ pub fn validate_stream_params(
     Ok(total_w)
 }
 
-/// Fallible twin of [`generate_stream`].
+/// Fallible twin of [`generate_stream`]: a collect over an
+/// [`OpenLoopSource`] on a steady [`RateSchedule`], which takes `rng` and
+/// hands it back advanced past every draw.
 pub fn try_generate_stream(
     pattern: WorkloadPattern,
     max_rate: f64,
@@ -69,58 +72,18 @@ pub fn try_generate_stream(
     mix: &[(RequestTypeId, f64)],
     rng: &mut SimRng,
 ) -> Result<Vec<Arrival>, WorkloadError> {
-    let total_w = validate_stream_params(max_rate, mix)?;
-
+    // Validate before taking the caller's RNG, so an error leaves it as
+    // it was.
+    validate_stream_params(max_rate, mix)?;
+    let schedule = RateSchedule::steady(pattern, max_rate)?;
+    let taken = std::mem::replace(rng, SimRng::new(0));
+    let mut source = OpenLoopSource::scheduled(schedule, horizon_s, mix.to_vec(), taken)?;
     let mut out = Vec::with_capacity((max_rate * horizon_s * 0.7) as usize);
-    let mut t = 0.0f64;
-    loop {
-        t = next_candidate(t, max_rate, rng);
-        if t >= horizon_s {
-            break;
-        }
-        // Thinning: accept with probability rate(t)/max_rate.
-        let accept: f64 = rng.rng().gen_range(0.0..1.0);
-        if thin_accept(accept, max_rate, pattern.rate_at(t, max_rate)) {
-            let request_type = sample_mix(mix, total_w, rng);
-            out.push(Arrival { at: SimTime::from_secs_f64(t), request_type });
-        }
+    while let Some(a) = source.next_arrival() {
+        out.push(a);
     }
+    *rng = source.into_rng();
     Ok(out)
-}
-
-/// Advances the homogeneous majorant process by one exponential gap.
-///
-/// Shared verbatim between [`generate_stream`] and the lazy
-/// [`OpenLoopSource`](crate::OpenLoopSource) so both draw the *identical*
-/// RNG sequence — the bit-for-bit equivalence of the dense and streaming
-/// arrival paths holds by construction, not by parallel maintenance.
-pub(crate) fn next_candidate(t: f64, max_rate: f64, rng: &mut SimRng) -> f64 {
-    let u: f64 = rng.rng().gen_range(f64::MIN_POSITIVE..1.0);
-    t + -u.ln() / max_rate
-}
-
-/// Lewis–Shedler thinning decision: keep the candidate iff
-/// `accept < rate/max_rate`. Strictly less-than: `accept` can draw exactly
-/// 0.0 (the `gen_range(0.0..1.0)` interval is half-open at 1, closed at 0),
-/// and a window where `rate == 0` must emit no arrivals at all — `<=` would
-/// let the zero draw through.
-pub(crate) fn thin_accept(accept: f64, max_rate: f64, rate: f64) -> bool {
-    accept * max_rate < rate
-}
-
-pub(crate) fn sample_mix(
-    mix: &[(RequestTypeId, f64)],
-    total_w: f64,
-    rng: &mut SimRng,
-) -> RequestTypeId {
-    let mut x: f64 = rng.rng().gen_range(0.0..total_w);
-    for &(id, w) in mix {
-        if x < w {
-            return id;
-        }
-        x -= w;
-    }
-    mix.last().unwrap().0
 }
 
 /// Empirical arrival rate (req/s) of a stream in `bucket_s`-second buckets,
@@ -240,23 +203,6 @@ mod tests {
         assert!(matches!(e.unwrap_err(), WorkloadError::BadMixWeights(_)));
         let ok = try_generate_stream(WorkloadPattern::Constant, 10.0, 1.0, &mix2(), &mut rng);
         assert!(ok.is_ok());
-    }
-
-    /// Regression: a zero-rate window emits nothing even when the
-    /// acceptance draw comes out exactly 0.0 (the old `<=` comparison
-    /// accepted that candidate, injecting arrivals where the offered load
-    /// is zero).
-    #[test]
-    fn zero_rate_window_emits_nothing() {
-        assert!(!thin_accept(0.0, 1000.0, 0.0), "accept == 0.0 must not pass a zero rate");
-        // Unchanged everywhere the rate is positive...
-        assert!(thin_accept(0.0, 1000.0, 350.0));
-        assert!(thin_accept(0.3499, 1000.0, 350.0));
-        // ...and at the acceptance boundary the candidate is dropped, per
-        // thinning's `u < λ(t)/λ_max` (P[u = boundary] = 0 in theory; ties
-        // must reject so a zero rate stays silent).
-        assert!(!thin_accept(0.35, 1000.0, 350.0));
-        assert!(!thin_accept(0.999, 1000.0, 350.0));
     }
 }
 

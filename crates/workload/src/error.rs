@@ -21,8 +21,6 @@ pub enum WorkloadError {
     /// A rate schedule is structurally invalid (reversed segment, bad
     /// multiplier, negative ramp, …).
     InvalidSchedule(String),
-    /// An MMPP phase list is empty or carries a bad rate/dwell pair.
-    InvalidPhases(String),
 }
 
 impl fmt::Display for WorkloadError {
@@ -37,7 +35,6 @@ impl fmt::Display for WorkloadError {
                 "request mix weights must be non-negative and sum to a positive value, got {total}"
             ),
             WorkloadError::InvalidSchedule(why) => write!(f, "invalid rate schedule: {why}"),
-            WorkloadError::InvalidPhases(why) => write!(f, "invalid MMPP phases: {why}"),
         }
     }
 }

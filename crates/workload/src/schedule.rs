@@ -220,6 +220,12 @@ impl RateSchedule {
         &self.segments
     }
 
+    /// This schedule's load split evenly over `shares` independent senders
+    /// (the base rate divided by `shares`; segments and sinusoid unchanged).
+    pub fn split(&self, shares: usize) -> Self {
+        RateSchedule { base_rate: self.base_rate / shares.max(1) as f64, ..self.clone() }
+    }
+
     /// Combined segment (and sinusoid) multiplier at time `t`.
     pub fn multiplier_at(&self, t: f64) -> f64 {
         let seg: f64 = self.segments.iter().map(|s| s.factor_at(t)).product();
@@ -287,6 +293,16 @@ mod tests {
             assert!(s.rate_at(t) <= peak + 1e-9, "rate at {t} exceeds majorant");
             t += 0.05;
         }
+    }
+
+    #[test]
+    fn split_divides_the_load_evenly() {
+        let s = flash3x().with_sinusoid(50.0, 0.25).unwrap();
+        let quarter = s.split(4);
+        for t in [0.0, 31.0, 40.0, 77.0] {
+            assert!((4.0 * quarter.rate_at(t) - s.rate_at(t)).abs() < 1e-9, "at {t}");
+        }
+        assert_eq!(quarter.peak_rate(), s.peak_rate() / 4.0);
     }
 
     #[test]
